@@ -71,11 +71,6 @@ std::uint64_t fingerprint_of(const la::CsrMatrix& A, const HybridConfig& cfg,
   h = hash_pod(cfg.gnn_max_refinement_steps, h);
   h = hash_pod(cfg.gnn_cost_aware_fallback, h);
   h = hash_pod(cfg.precond_fp32, h);
-  h = hash_pod(cfg.mg_levels, h);
-  h = fnv1a(cfg.mg_cycle.data(), cfg.mg_cycle.size(), h);
-  h = fnv1a(cfg.mg_smoother.data(), cfg.mg_smoother.size(), h);
-  h = hash_pod(cfg.mg_smooth_steps, h);
-  h = hash_pod(cfg.mg_aggregate_target, h);
   h = hash_pod(cfg.seed, h);
   h = hash_pod(cfg.track_history, h);
   h = hash_pod(cfg.block_multi_rhs, h);
@@ -108,11 +103,8 @@ bool configs_equal(const HybridConfig& a, const HybridConfig& b) {
          a.gnn_contraction_target == b.gnn_contraction_target &&
          a.gnn_max_refinement_steps == b.gnn_max_refinement_steps &&
          a.gnn_cost_aware_fallback == b.gnn_cost_aware_fallback &&
-         a.precond_fp32 == b.precond_fp32 && a.mg_levels == b.mg_levels &&
-         a.mg_cycle == b.mg_cycle && a.mg_smoother == b.mg_smoother &&
-         a.mg_smooth_steps == b.mg_smooth_steps &&
-         a.mg_aggregate_target == b.mg_aggregate_target &&
-         a.seed == b.seed && a.track_history == b.track_history &&
+         a.precond_fp32 == b.precond_fp32 && a.seed == b.seed &&
+         a.track_history == b.track_history &&
          a.block_multi_rhs == b.block_multi_rhs;
 }
 

@@ -80,11 +80,6 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
   ctx.gnn_max_refinement_steps = cfg.gnn_max_refinement_steps;
   ctx.gnn_cost_aware_fallback = cfg.gnn_cost_aware_fallback;
   ctx.gnn_fp32_fallback = cfg.precond_fp32;
-  ctx.mg_levels = cfg.mg_levels;
-  ctx.mg_cycle = cfg.mg_cycle;
-  ctx.mg_smoother = cfg.mg_smoother;
-  ctx.mg_smooth_steps = cfg.mg_smooth_steps;
-  ctx.mg_aggregate_target = cfg.mg_aggregate_target;
   ctx.seed = cfg.seed;
   // The message-graph pattern is only materialized for geometry consumers
   // (the GNN entries); the factories copy it, so it can live on this stack.
@@ -295,10 +290,9 @@ std::size_t SolverSession::memory_bytes() const {
   // the first solve_many.
   if (const auto* schwarz =
           dynamic_cast<const precond::AdditiveSchwarz*>(m_inv_.get())) {
-    // Coarse-correction state: the dense Nicolaides factor, or the whole
-    // smoothed-aggregation hierarchy (level operators + transfers + the far
-    // smaller coarsest factor) for the -ml entries.
-    if (const auto* coarse = schwarz->coarse_component()) {
+    // Coarse-correction state: the smoothed-aggregation hierarchy (level
+    // operators, transfers and the dense coarsest factor).
+    if (const auto* coarse = schwarz->coarse()) {
       bytes += coarse->memory_bytes();
     }
     if (const auto* gnn_local = dynamic_cast<const GnnSubdomainSolver*>(

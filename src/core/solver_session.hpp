@@ -86,25 +86,6 @@ struct HybridConfig {
   /// effectively nonlinear, so the default-method selection bumps PCG to
   /// flexible PCG when enabled.
   bool precond_fp32 = false;
-  /// Multi-level coarse hierarchy (the `-ml` registry entries): coarse-
-  /// hierarchy depth L. The default 1 keeps the classic one-shot dense
-  /// Nicolaides coarse solve — existing configs are bit-for-bit unchanged.
-  /// L >= 2 builds a smoothed-aggregation hierarchy (aggregation coarsening
-  /// + Galerkin operators) and applies it as a recursive cycle: an
-  /// (L+1)-level method counting the fine grid. Plain (non `-ml`) entries
-  /// ignore these knobs entirely.
-  int mg_levels = 1;
-  /// "v" or "w": cycle shape on the coarse hierarchy.
-  std::string mg_cycle = "v";
-  /// Intermediate-level smoother: "jacobi" (damped, ω from the power-
-  /// iteration recipe) or "chebyshev" (polynomial of degree
-  /// mg_smooth_steps). The fine level needs no smoother here — the ASM
-  /// subdomain solves (exact Cholesky or DSS inference) fill that role.
-  std::string mg_smoother = "jacobi";
-  /// Pre- and post-smoothing sweeps (Jacobi) / polynomial degree (Chebyshev).
-  int mg_smooth_steps = 1;
-  /// Pass-1 aggregate size cap for the greedy aggregation on deep levels.
-  la::Index mg_aggregate_target = 8;
   std::uint64_t seed = 0;
   bool track_history = true;
   /// solve_many: dispatch to the batched block-Krylov engine (one fused

@@ -1,6 +1,6 @@
 // Dense row-major matrices with LU (partial pivoting) and Cholesky factors.
-// Used for the Nicolaides coarse problem R0·A·R0ᵀ (size K×K, K ≤ a few
-// thousand) and as the reference direct solver in tests.
+// Used for the coarsest operator of the coarse hierarchy (at most a few
+// hundred rows) and as the reference direct solver in tests.
 #pragma once
 
 #include <span>

@@ -15,63 +15,43 @@ namespace ddmgnn::la {
 namespace {
 
 // One worker's scratch for Gustavson row merges: `mark[c]` holds the stamp of
-// the last row that touched column c, `acc[c]` its running sum, `cols` the
-// touched columns in first-touch order. Reset is O(row nnz), not O(n).
+// the last row that touched column c, `acc[c]` its running sum. Reset is
+// O(row nnz), not O(n).
 struct RowMergeScratch {
   std::vector<Index> mark;
   std::vector<double> acc;
-  std::vector<Index> cols;
 
   explicit RowMergeScratch(Index width)
       : mark(static_cast<std::size_t>(width), -1),
         acc(static_cast<std::size_t>(width), 0.0) {}
 };
 
-// Merge row i of A·B into scratch; returns the touched columns (unsorted,
-// first-touch order) with sums in scratch.acc. Accumulation order is the
-// fixed (k, j) traversal order — independent of the thread that runs it.
-void merge_row(const CsrMatrix& a, const CsrMatrix& b, Index i,
-               RowMergeScratch& s) {
-  s.cols.clear();
-  const auto a_ptr = a.row_ptr();
-  const auto a_col = a.col_idx();
-  const auto a_val = a.values();
-  const auto b_ptr = b.row_ptr();
-  const auto b_col = b.col_idx();
-  const auto b_val = b.values();
-  for (Offset k = a_ptr[i]; k < a_ptr[i + 1]; ++k) {
-    const Index mid = a_col[k];
-    const double av = a_val[k];
-    for (Offset j = b_ptr[mid]; j < b_ptr[mid + 1]; ++j) {
-      const Index c = b_col[j];
-      if (s.mark[c] != i) {
-        s.mark[c] = i;
-        s.acc[c] = av * b_val[j];
-        s.cols.push_back(c);
-      } else {
-        s.acc[c] += av * b_val[j];
-      }
-    }
-  }
-}
-
+// Serial below ~8k estimated multiply-adds (nnz(A) times the mean row
+// length of B): the fork/join would dominate. The estimate, not the row
+// count, decides — a Galerkin R·(AP) has few rows, but each merges hundreds
+// of AP rows.
 template <typename RowBody>
-void for_each_row(Index rows, Index out_cols, const RowBody& body) {
+void for_each_row(const CsrMatrix& a, const CsrMatrix& b,
+                  const RowBody& body) {
+  const Index rows = a.rows();
   const int threads = ddmgnn::num_threads();
 #ifdef _OPENMP
-  const bool serial = rows < 256 || threads == 1 || omp_in_parallel();
+  const double flops = static_cast<double>(a.nnz()) *
+                       static_cast<double>(b.nnz()) /
+                       static_cast<double>(std::max<Index>(b.rows(), 1));
+  const bool serial = flops < 8192.0 || threads == 1 || omp_in_parallel();
 #else
   const bool serial = true;
 #endif
   if (serial) {
-    RowMergeScratch s(out_cols);
+    RowMergeScratch s(b.cols());
     for (Index i = 0; i < rows; ++i) body(i, s);
     return;
   }
 #ifdef _OPENMP
 #pragma omp parallel num_threads(threads)
   {
-    RowMergeScratch s(out_cols);
+    RowMergeScratch s(b.cols());
 #pragma omp for schedule(static)
     for (Index i = 0; i < rows; ++i) body(i, s);
   }
@@ -83,31 +63,54 @@ void for_each_row(Index rows, Index out_cols, const RowBody& body) {
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b) {
   DDMGNN_CHECK(a.cols() == b.rows(), "spgemm: inner dimensions differ");
   const Index rows = a.rows();
-  const Index cols = b.cols();
+  const Offset* a_ptr = a.row_ptr().data();
+  const Index* a_col = a.col_idx().data();
+  const double* a_val = a.values().data();
+  const Offset* b_ptr = b.row_ptr().data();
+  const Index* b_col = b.col_idx().data();
+  const double* b_val = b.values().data();
 
   // Symbolic pass: distinct columns per output row.
   std::vector<Offset> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
-  for_each_row(rows, cols, [&](Index i, RowMergeScratch& s) {
-    merge_row(a, b, i, s);
-    row_ptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<Offset>(s.cols.size());
+  for_each_row(a, b, [&](Index i, RowMergeScratch& s) {
+    Offset count = 0;
+    for (Offset k = a_ptr[i]; k < a_ptr[i + 1]; ++k) {
+      const Index mid = a_col[k];
+      for (Offset j = b_ptr[mid]; j < b_ptr[mid + 1]; ++j) {
+        count += s.mark[b_col[j]] != i;
+        s.mark[b_col[j]] = i;
+      }
+    }
+    row_ptr[static_cast<std::size_t>(i) + 1] = count;
   });
   for (Index i = 0; i < rows; ++i) row_ptr[i + 1] += row_ptr[i];
 
-  // Numeric pass: re-merge each row, sort its columns, write in place.
+  // Numeric pass: merge each row straight into its output slot (columns in
+  // first-touch order, sums in scratch.acc), then sort the column run and
+  // gather the sums. Accumulation follows the fixed (k, j)
+  // traversal order — independent of the thread that runs the row.
   std::vector<Index> col_idx(static_cast<std::size_t>(row_ptr[rows]));
   std::vector<double> vals(col_idx.size());
-  for_each_row(rows, cols, [&](Index i, RowMergeScratch& s) {
-    merge_row(a, b, i, s);
-    std::sort(s.cols.begin(), s.cols.end());
-    Offset out = row_ptr[i];
-    for (const Index c : s.cols) {
-      col_idx[out] = c;
-      vals[out] = s.acc[c];
-      ++out;
+  for_each_row(a, b, [&](Index i, RowMergeScratch& s) {
+    Index* out = col_idx.data() + row_ptr[i];
+    Index n = 0;
+    for (Offset k = a_ptr[i]; k < a_ptr[i + 1]; ++k) {
+      const Index mid = a_col[k];
+      const double av = a_val[k];
+      for (Offset j = b_ptr[mid]; j < b_ptr[mid + 1]; ++j) {
+        const Index c = b_col[j];
+        if (s.mark[c] != i) {
+          s.mark[c] = i;
+          s.acc[c] = 0.0;
+          out[n++] = c;
+        }
+        s.acc[c] += av * b_val[j];
+      }
     }
+    std::sort(out, out + n);
+    for (Index p = 0; p < n; ++p) vals[row_ptr[i] + p] = s.acc[out[p]];
   });
-  return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
+  return CsrMatrix(rows, b.cols(), std::move(row_ptr), std::move(col_idx),
                    std::move(vals));
 }
 

@@ -1,5 +1,6 @@
 #include "mg/hierarchy.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -16,15 +17,25 @@ namespace ddmgnn::mg {
 
 namespace {
 
-// ||v||₂ with strictly serial accumulation. la::norm2 switches to an OpenMP
-// reduction above kParallelThreshold, whose combine order depends on the
-// team size — fine for Krylov solves, fatal for the "hierarchy build is
-// bitwise-identical at 1/2/4 threads" contract. The SpMV inside the power
-// iteration stays parallel (row-independent, deterministic).
-double serial_norm2(std::span<const double> v) {
+// Σ_i f(i) over [0, n) in fixed blocks of 256 rows: each block sums in
+// row order (blocks in parallel), then the block sums are added in block
+// order. Unlike la::norm2's OpenMP reduction, whose combine order follows
+// the team size, the result is the same bits at any thread count — the
+// "hierarchy build is bitwise-identical at 1/2/4 threads" contract.
+template <typename RowFn>
+double blocked_sum(std::size_t n, const RowFn& f) {
+  constexpr std::size_t kBlockRows = 256;
+  std::vector<double> partial((n + kBlockRows - 1) / kBlockRows);
+  parallel_for(static_cast<long>(partial.size()), [&](long blk) {
+    const std::size_t begin = static_cast<std::size_t>(blk) * kBlockRows;
+    const std::size_t end = std::min(n, begin + kBlockRows);
+    double acc = 0.0;
+    for (std::size_t i = begin; i < end; ++i) acc += f(i);
+    partial[blk] = acc;
+  }, 4);  // below 4 blocks the fork/join costs more than it saves
   double acc = 0.0;
-  for (const double x : v) acc += x * x;
-  return std::sqrt(acc);
+  for (const double x : partial) acc += x;
+  return acc;
 }
 
 std::vector<double> inverse_diagonal(const la::CsrMatrix& a) {
@@ -37,81 +48,62 @@ std::vector<double> inverse_diagonal(const la::CsrMatrix& a) {
 }
 
 // λ̂max(D⁻¹A) via the power_iteration_damping recipe (solver/stationary.cpp)
-// with the Jacobi preconditioner inlined and serial reductions substituted
-// for la::norm2 — same Rng seeding, same iteration structure.
+// with the Jacobi preconditioner inlined: w = D⁻¹A v/‖v‖ and ‖w‖ in one
+// blocked pass per sweep.
 double lambda_max_dinv_a(const la::CsrMatrix& a,
                          std::span<const double> inv_diag, int iterations,
                          std::uint64_t seed) {
   const std::size_t n = static_cast<std::size_t>(a.rows());
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  const auto va = a.values();
   Rng rng(seed ^ 0x9E3779B97F4A7C15ull);
-  std::vector<double> v(n), av(n), w(n);
+  std::vector<double> v(n), w(n);
   for (double& vi : v) vi = rng.uniform(-1.0, 1.0);
+  double nv =
+      std::sqrt(blocked_sum(n, [&](std::size_t i) { return v[i] * v[i]; }));
   double lambda = 1.0;
-  for (int k = 0; k < iterations; ++k) {
-    const double nv = serial_norm2(v);
-    if (nv == 0.0) break;
-    la::scale(1.0 / nv, v);
-    a.multiply(v, av);
-    parallel_for(static_cast<long>(n),
-                 [&](long i) { w[i] = inv_diag[i] * av[i]; });
-    lambda = serial_norm2(w);
+  for (int k = 0; k < iterations && nv != 0.0; ++k) {
+    const double inv_nv = 1.0 / nv;
+    lambda = std::sqrt(blocked_sum(n, [&](std::size_t i) {
+      double av = 0.0;
+      for (la::Offset e = rp[i]; e < rp[i + 1]; ++e) av += va[e] * v[ci[e]];
+      w[i] = inv_diag[i] * av * inv_nv;
+      return w[i] * w[i];
+    }));
     if (!(lambda > 0.0) || !std::isfinite(lambda)) {
       lambda = 1.0;
       break;
     }
     v.swap(w);
+    nv = lambda;
   }
   return lambda;
 }
 
-// S = I − ω D⁻¹A on A's pattern (A carries a full diagonal — FEM assembly
-// and Galerkin products both guarantee it).
-la::CsrMatrix jacobi_smoother_matrix(const la::CsrMatrix& a,
-                                     std::span<const double> inv_diag,
-                                     double omega) {
-  std::vector<la::Offset> row_ptr(a.row_ptr().begin(), a.row_ptr().end());
-  std::vector<la::Index> col_idx(a.col_idx().begin(), a.col_idx().end());
-  std::vector<double> vals(a.values().begin(), a.values().end());
-  const auto rp = a.row_ptr();
-  parallel_for(a.rows(), [&](long i) {
+// P = (I − ω D⁻¹A) P_tent = P_tent − ω D⁻¹ (A P_tent). A carries a full
+// diagonal (FEM assembly and Galerkin products both guarantee it), so row i
+// of A·P_tent covers row i of P_tent's pattern and the sum is formed in place.
+la::CsrMatrix smooth_prolongator(const la::CsrMatrix& a,
+                                 std::span<const double> inv_diag,
+                                 double omega, const la::CsrMatrix& p_tent) {
+  la::CsrMatrix p = la::spgemm(a, p_tent);
+  const auto rp = p.row_ptr();
+  const auto ci = p.col_idx();
+  const auto va = p.values_mutable();
+  const auto tp = p_tent.row_ptr();
+  const auto tc = p_tent.col_idx();
+  const auto tv = p_tent.values();
+  parallel_for(p.rows(), [&](long i) {
     const double scale = -omega * inv_diag[i];
-    bool has_diag = false;
-    for (la::Offset k = rp[i]; k < rp[i + 1]; ++k) {
-      vals[k] *= scale;
-      if (col_idx[k] == static_cast<la::Index>(i)) {
-        vals[k] += 1.0;
-        has_diag = true;
-      }
+    for (la::Offset k = rp[i]; k < rp[i + 1]; ++k) va[k] *= scale;
+    la::Offset k = rp[i];
+    for (la::Offset t = tp[i]; t < tp[i + 1]; ++t) {
+      while (ci[k] < tc[t]) ++k;  // both rows sorted; tc[t] is in p's row
+      va[k] += tv[t];
     }
-    DDMGNN_CHECK(has_diag, "hierarchy: level operator row lacks a diagonal");
-  });
-  return la::CsrMatrix(a.rows(), a.cols(), std::move(row_ptr),
-                       std::move(col_idx), std::move(vals));
-}
-
-// The Nicolaides injection R0ᵀ as an n×K CSR prolongator: row v carries the
-// partition-of-unity weight 1/multiplicity for every subdomain containing v.
-// Matches NicolaidesCoarseSpace's membership table entry-for-entry, so the
-// unsmoothed Galerkin product equals its dense coarse matrix.
-la::CsrMatrix tentative_from_decomposition(la::Index n,
-                                           const partition::Decomposition& dec) {
-  std::vector<la::Offset> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& nodes : dec.subdomains) {
-    for (const la::Index v : nodes) ++row_ptr[v + 1];
-  }
-  for (la::Index v = 0; v < n; ++v) row_ptr[v + 1] += row_ptr[v];
-  std::vector<la::Index> col_idx(static_cast<std::size_t>(row_ptr[n]));
-  std::vector<double> vals(col_idx.size());
-  std::vector<la::Offset> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (la::Index p = 0; p < dec.num_parts; ++p) {
-    for (const la::Index v : dec.subdomains[p]) {
-      const la::Offset dst = cursor[v]++;
-      col_idx[dst] = p;  // parts visited in ascending order ⇒ sorted rows
-      vals[dst] = dec.inv_multiplicity[v];
-    }
-  }
-  return la::CsrMatrix(n, dec.num_parts, std::move(row_ptr),
-                       std::move(col_idx), std::move(vals));
+  }, la::kParallelThreshold);
+  return p;
 }
 
 la::CsrMatrix tentative_from_aggregates(const partition::Aggregation& agg) {
@@ -131,6 +123,27 @@ std::size_t csr_bytes(const la::CsrMatrix& m) {
 }
 
 }  // namespace
+
+la::CsrMatrix nicolaides_prolongator(const partition::Decomposition& dec) {
+  const la::Index n = dec.num_nodes();
+  std::vector<la::Offset> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& nodes : dec.subdomains) {
+    for (const la::Index v : nodes) ++row_ptr[v + 1];
+  }
+  for (la::Index v = 0; v < n; ++v) row_ptr[v + 1] += row_ptr[v];
+  std::vector<la::Index> col_idx(static_cast<std::size_t>(row_ptr[n]));
+  std::vector<double> vals(col_idx.size());
+  std::vector<la::Offset> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (la::Index p = 0; p < dec.num_parts; ++p) {
+    for (const la::Index v : dec.subdomains[p]) {
+      const la::Offset dst = cursor[v]++;
+      col_idx[dst] = p;  // parts visited in ascending order ⇒ sorted rows
+      vals[dst] = dec.inv_multiplicity[v];
+    }
+  }
+  return la::CsrMatrix(n, dec.num_parts, std::move(row_ptr),
+                       std::move(col_idx), std::move(vals));
+}
 
 std::vector<la::Index> Hierarchy::level_rows() const {
   std::vector<la::Index> out;
@@ -165,28 +178,27 @@ std::size_t Hierarchy::dense_factor_bytes() const {
 
 Hierarchy build_hierarchy(const la::CsrMatrix& a,
                           const partition::Decomposition& dec,
-                          const HierarchyOptions& opts) {
-  DDMGNN_CHECK(opts.levels >= 1, "hierarchy: levels must be >= 1");
+                          std::uint64_t seed) {
   DDMGNN_CHECK(a.rows() == dec.num_nodes(), "hierarchy: size mismatch");
 
   Hierarchy h;
   h.fine_rows = a.rows();
   h.fine_nnz = a.nnz();
 
-  la::CsrMatrix p_tent = tentative_from_decomposition(a.rows(), dec);
+  la::CsrMatrix p_tent = nicolaides_prolongator(dec);
   for (int lvl = 0;; ++lvl) {
     // `cur` is the operator of the level p_tent coarsens (fine grid for
     // lvl 0). Its smoother data also feeds the cycle, so persist it.
     const la::CsrMatrix& cur = lvl == 0 ? a : h.levels[lvl - 1].A;
     std::vector<double> inv_diag = inverse_diagonal(cur);
     const double lambda =
-        lambda_max_dinv_a(cur, inv_diag, opts.power_iterations, opts.seed);
+        lambda_max_dinv_a(cur, inv_diag, kPowerIterations, seed);
     // Classic SA smoothing weight 4/(3λmax), with the same 5% safety margin
     // power_iteration_damping applies to its estimate.
     const double omega = (4.0 / 3.0) / (1.05 * lambda);
 
     CoarseLevel next;
-    next.P = la::spgemm(jacobi_smoother_matrix(cur, inv_diag, omega), p_tent);
+    next.P = smooth_prolongator(cur, inv_diag, omega, p_tent);
     next.R = next.P.transpose();
     next.A = la::spgemm(next.R, la::spgemm(cur, next.P));
     if (lvl >= 1) {
@@ -196,28 +208,17 @@ Hierarchy build_hierarchy(const la::CsrMatrix& a,
     h.levels.push_back(std::move(next));
 
     const la::CsrMatrix& coarse = h.levels.back().A;
-    if (lvl + 1 >= opts.levels) break;
-    if (coarse.rows() <= opts.min_coarse_rows) break;
+    if (coarse.rows() <= kMaxCoarseRows) break;
     const partition::Aggregation agg =
-        partition::aggregate(coarse, opts.aggregate_target);
+        partition::aggregate(coarse, kAggregateTarget);
     if (agg.num_aggregates >= coarse.rows()) break;  // no progress
     p_tent = tentative_from_aggregates(agg);
   }
 
-  // Dense Cholesky of the coarsest operator — the direct solve at the
-  // bottom of the cycle, exactly the role the Nicolaides factor plays in
-  // the two-level method.
-  const la::CsrMatrix& bottom = h.levels.back().A;
-  la::DenseMatrix dense(bottom.rows(), bottom.rows(), 0.0);
-  {
-    const auto rp = bottom.row_ptr();
-    const auto ci = bottom.col_idx();
-    const auto va = bottom.values();
-    for (la::Index i = 0; i < bottom.rows(); ++i) {
-      for (la::Offset k = rp[i]; k < rp[i + 1]; ++k) dense(i, ci[k]) = va[k];
-    }
-  }
-  h.coarsest_factor = std::make_unique<la::DenseCholesky>(dense);
+  // The coarsest operator has at most kMaxCoarseRows rows (unless
+  // aggregation stalled), so a dense direct solve stays cheap.
+  h.coarsest_factor = std::make_unique<la::DenseCholesky>(
+      la::DenseMatrix::from_csr(h.levels.back().A));
 
   auto& reg = obs::Registry::instance();
   const std::vector<la::Index> rows = h.level_rows();

@@ -1,13 +1,14 @@
-// Smoothed-aggregation multigrid hierarchy (the ML/MueLu recipe) for the
-// coarse component of Additive Schwarz. Level 0 is the fine operator; its
-// first tentative prolongator is the Nicolaides partition-of-unity injection
-// R0ᵀ seeded from the existing Decomposition, deeper levels come from greedy
-// aggregation (partition::aggregate). Every tentative prolongator is
-// smoothed, P = (I − ω D⁻¹A) P_tent, and coarse operators are Galerkin
-// triple products A_{ℓ+1} = Pᵀ A_ℓ P; the coarsest operator is factored
-// dense (Cholesky) exactly like the classic Nicolaides space — but over a
-// far smaller operator when levels > 1, which is the memory point of the
-// exercise.
+// Smoothed-aggregation coarse space of Additive Schwarz (the ML/MueLu
+// recipe). Level 0 is the fine operator; the first tentative prolongator is
+// the Nicolaides partition-of-unity injection R0ᵀ built from the
+// Decomposition, deeper levels come from greedy aggregation
+// (partition::aggregate). Every tentative prolongator is smoothed once,
+// P = (I − ω D⁻¹A) P_tent, and coarse operators are Galerkin triple products
+// A_{ℓ+1} = Pᵀ A_ℓ P. The depth follows from the input: coarsening stops as
+// soon as a level has at most kMaxCoarseRows rows, and that coarsest
+// operator is factored dense (Cholesky). With K ≤ kMaxCoarseRows subdomains
+// the result is a two-level method whose coarse basis is the Nicolaides
+// basis smoothed once.
 //
 // Determinism: the build is bitwise-identical at any thread count. The only
 // reduction it needs — the power-iteration eigenvalue estimate for ω — uses
@@ -27,25 +28,21 @@
 
 namespace ddmgnn::mg {
 
-struct HierarchyOptions {
-  /// Requested coarse-hierarchy depth L: the preconditioner becomes an
-  /// (L+1)-level method. The build truncates early when a level stops
-  /// shrinking or drops to min_coarse_rows.
-  int levels = 2;
-  /// Pass-1 aggregate size cap for partition::aggregate on deep levels.
-  la::Index aggregate_target = 8;
-  /// Power-iteration sweeps for the ω = 1/(1.05·λ̂max(D⁻¹A)) estimate
-  /// (the power_iteration_damping recipe, serial reductions).
-  int power_iterations = 12;
-  /// Stop coarsening once a level has at most this many rows.
-  la::Index min_coarse_rows = 8;
-  std::uint64_t seed = 0;
-};
+/// Coarsen until the coarsest operator has at most this many rows. At
+/// K ≈ 1000–2000 one aggregation step already lands at 70–129 rows, so caps
+/// from 130 to 512 build the same hierarchy; coarsening on to 5–8 rows cost
+/// 1–2 extra Krylov iterations.
+inline constexpr la::Index kMaxCoarseRows = 256;
+/// Pass-1 aggregate size cap for partition::aggregate below level 1.
+inline constexpr la::Index kAggregateTarget = 8;
+/// Power-iteration sweeps for λ̂max(D⁻¹A), which sets the prolongator
+/// smoothing weight ω = 4/(3·1.05·λ̂) and the Chebyshev smoother's bounds.
+inline constexpr int kPowerIterations = 12;
 
 /// One coarse level. P maps THIS level to the next-finer one (the fine grid
-/// for levels[0]); R = Pᵀ. inv_diag / lambda_max are the Jacobi data and
-/// λ̂max(D⁻¹A) the cycle smoothers need — populated on every level except
-/// the coarsest (which is solved directly).
+/// for levels[0]); R = Pᵀ. inv_diag / lambda_max are the D⁻¹ scaling and
+/// λ̂max(D⁻¹A) the Chebyshev cycle smoother needs — populated on every level
+/// except the coarsest (which is solved directly).
 struct CoarseLevel {
   la::CsrMatrix A;
   la::CsrMatrix P;
@@ -69,11 +66,16 @@ struct Hierarchy {
   std::size_t dense_factor_bytes() const;
 };
 
-/// Build the hierarchy for `a` seeded from `dec` (level-1 tentative
-/// prolongator = Nicolaides partition-of-unity weights). Also publishes
-/// mg.level_rows / mg.level_nnz gauges (labels "level=ℓ").
+/// The Nicolaides injection R0ᵀ as an n×K CSR matrix: row v carries the
+/// partition-of-unity weight 1/multiplicity for every subdomain containing
+/// v. This is the unsmoothed tentative prolongator of level 1.
+la::CsrMatrix nicolaides_prolongator(const partition::Decomposition& dec);
+
+/// Build the hierarchy for `a` seeded from `dec`; `seed` drives the power
+/// iterations. Also publishes mg.level_rows / mg.level_nnz gauges (labels
+/// "level=ℓ").
 Hierarchy build_hierarchy(const la::CsrMatrix& a,
                           const partition::Decomposition& dec,
-                          const HierarchyOptions& opts);
+                          std::uint64_t seed);
 
 }  // namespace ddmgnn::mg

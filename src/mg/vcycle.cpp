@@ -15,41 +15,28 @@ namespace {
 // down to λmax/30 (the hypre default ratio).
 constexpr double kChebUpperPad = 1.1;
 constexpr double kChebLowerRatio = 1.0 / 30.0;
+// Pre- and post-smoothing polynomial degree. At K ≈ 1000–2000 subdomains
+// ddm-lu took 34–35 Krylov iterations with degree 1, 31–32 with degree 2 and
+// 30–31 with degree 3.
+constexpr int kChebyshevDegree = 2;
 
 }  // namespace
 
-VCycle::VCycle(Hierarchy hierarchy, CycleConfig config)
-    : h_(std::move(hierarchy)), cfg_(config) {
+VCycle::VCycle(Hierarchy hierarchy) : h_(std::move(hierarchy)) {
   DDMGNN_CHECK(h_.num_coarse_levels() >= 1 && h_.coarsest_factor != nullptr,
                "vcycle: hierarchy has no factored coarsest level");
-  DDMGNN_CHECK(cfg_.smooth_steps >= 1, "vcycle: smooth_steps must be >= 1");
   for (int l = 0; l + 1 < h_.num_coarse_levels(); ++l) {
     DDMGNN_CHECK(h_.levels[l].lambda_max > 0.0,
                  "vcycle: intermediate level lacks smoother data");
   }
 }
 
-std::string VCycle::name() const {
-  return cfg_.w_cycle ? "mg-wcycle" : "mg-vcycle";
-}
-
+// Chebyshev polynomial of degree kChebyshevDegree on [λmax/30, 1.1·λ̂].
 void VCycle::smooth(const CoarseLevel& level, std::span<const double> b,
                     std::span<double> x) const {
   const std::size_t n = x.size();
   const auto& inv_diag = level.inv_diag;
   std::vector<double> res(n);
-  if (cfg_.smoother == Smoother::kJacobi) {
-    // Damped Jacobi with the power_iteration_damping weight 1/(1.05·λ̂).
-    const double d = 1.0 / (1.05 * level.lambda_max);
-    for (int step = 0; step < cfg_.smooth_steps; ++step) {
-      level.A.multiply(x, res);
-      for (std::size_t i = 0; i < n; ++i) {
-        x[i] += d * inv_diag[i] * (b[i] - res[i]);
-      }
-    }
-    return;
-  }
-  // Chebyshev polynomial of degree smooth_steps on [λmax/30, 1.1·λ̂].
   const double lmax = kChebUpperPad * level.lambda_max;
   const double lmin = kChebLowerRatio * lmax;
   const double theta = 0.5 * (lmax + lmin);
@@ -63,7 +50,7 @@ void VCycle::smooth(const CoarseLevel& level, std::span<const double> b,
   }
   for (int k = 0;; ++k) {
     for (std::size_t i = 0; i < n; ++i) x[i] += d[i];
-    if (k + 1 >= cfg_.smooth_steps) break;
+    if (k + 1 >= kChebyshevDegree) break;
     level.A.multiply(x, res);
     const double rho_next = 1.0 / (2.0 * sigma - rho);
     const double c1 = rho_next * rho;
@@ -81,21 +68,6 @@ void VCycle::smooth_many(const CoarseLevel& level, const la::MultiVector& b,
   const la::Index s = x.cols();
   const auto& inv_diag = level.inv_diag;
   la::MultiVector res(n, s);
-  if (cfg_.smoother == Smoother::kJacobi) {
-    const double d = 1.0 / (1.05 * level.lambda_max);
-    for (int step = 0; step < cfg_.smooth_steps; ++step) {
-      level.A.apply_many(x, res);
-      for (la::Index j = 0; j < s; ++j) {
-        auto xj = x.col(j);
-        const auto bj = b.col(j);
-        const auto rj = res.col(j);
-        for (la::Index i = 0; i < n; ++i) {
-          xj[i] += d * inv_diag[i] * (bj[i] - rj[i]);
-        }
-      }
-    }
-    return;
-  }
   const double lmax = kChebUpperPad * level.lambda_max;
   const double lmin = kChebLowerRatio * lmax;
   const double theta = 0.5 * (lmax + lmin);
@@ -118,7 +90,7 @@ void VCycle::smooth_many(const CoarseLevel& level, const la::MultiVector& b,
       const auto dj = d.col(j);
       for (la::Index i = 0; i < n; ++i) xj[i] += dj[i];
     }
-    if (k + 1 >= cfg_.smooth_steps) break;
+    if (k + 1 >= kChebyshevDegree) break;
     level.A.apply_many(x, res);
     const double rho_next = 1.0 / (2.0 * sigma - rho);
     const double c1 = rho_next * rho;
@@ -162,13 +134,6 @@ void VCycle::cycle(int lvl, std::span<const double> r,
   std::vector<double> rc(nc), ec(nc);
   child.R.multiply(res, rc);
   cycle(lvl + 1, rc, ec);
-  if (cfg_.w_cycle && lvl + 1 != last) {
-    std::vector<double> rc2(nc), ec2(nc);
-    child.A.multiply(ec, rc2);
-    for (std::size_t i = 0; i < nc; ++i) rc2[i] = rc[i] - rc2[i];
-    cycle(lvl + 1, rc2, ec2);
-    for (std::size_t i = 0; i < nc; ++i) ec[i] += ec2[i];
-  }
   child.P.multiply(ec, res);  // reuse res as the prolonged correction
   for (std::size_t i = 0; i < n; ++i) e[i] += res[i];
 
@@ -208,22 +173,6 @@ void VCycle::cycle_many(int lvl, const la::MultiVector& r,
   la::MultiVector rc, ec;
   child.R.apply_many(res, rc);
   cycle_many(lvl + 1, rc, ec);
-  if (cfg_.w_cycle && lvl + 1 != last) {
-    const la::Index nc = child.A.rows();
-    la::MultiVector rc2, ec2;
-    child.A.apply_many(ec, rc2);
-    for (la::Index j = 0; j < s; ++j) {
-      auto r2j = rc2.col(j);
-      const auto rcj = rc.col(j);
-      for (la::Index i = 0; i < nc; ++i) r2j[i] = rcj[i] - r2j[i];
-    }
-    cycle_many(lvl + 1, rc2, ec2);
-    for (la::Index j = 0; j < s; ++j) {
-      auto ecj = ec.col(j);
-      const auto e2j = ec2.col(j);
-      for (la::Index i = 0; i < nc; ++i) ecj[i] += e2j[i];
-    }
-  }
   child.P.apply_many(ec, res);
   for (la::Index j = 0; j < s; ++j) {
     auto ej = e.col(j);

@@ -1,52 +1,44 @@
-// Recursive V/W-cycle over a smoothed-aggregation Hierarchy, applied as the
-// CoarseComponent of Additive Schwarz:
+// Recursive V-cycle over a smoothed-aggregation Hierarchy, applied as the
+// coarse correction of Additive Schwarz:
 //   z += P0 · cycle(level 1 …) · P0ᵀ r
-// Intermediate levels run damped-Jacobi or Chebyshev smoothing (symmetric,
-// equal pre/post steps, so the cycle operator stays SPD and PCG-safe); the
-// coarsest level is solved by the dense Cholesky factor. There is no
+// Intermediate levels run a Chebyshev polynomial smoother (symmetric, equal
+// pre/post degree, so the cycle operator stays SPD and PCG-safe); the
+// coarsest level is solved by the dense Cholesky factor. With a single
+// coarse level the cycle is exactly P0 (P0ᵀ A P0)⁻¹ P0ᵀ. There is no
 // fine-grid smoother here by design: in the ASM sum the local subdomain
 // solves (exact Cholesky, or DSS inference for ddm-gnn) ARE the fine-level
-// smoothing — the hierarchy only replaces the one-shot coarse solve.
+// smoothing.
 //
 // Concurrency: immutable after construction; every apply allocates its own
-// per-level scratch, so one VCycle serves concurrent clients (the standard
-// CoarseComponent contract). Applies are bitwise-deterministic at any thread
-// count (SpMV/SpMM + elementwise updates + dense backsolves only), and
-// apply_add_many reuses the per-column-exact block kernels so block Krylov
-// lockstep equivalence holds through the cycle.
+// per-level scratch, so one VCycle serves concurrent clients. Applies are
+// bitwise-deterministic at any thread count (SpMV/SpMM + elementwise updates
+// + dense backsolves only), and apply_add_many matches apply_add bitwise per
+// column — block Krylov lockstep equivalence depends on it.
 #pragma once
 
+#include <cstddef>
+#include <span>
+
+#include "la/multivector.hpp"
 #include "mg/hierarchy.hpp"
-#include "partition/coarse_component.hpp"
 
 namespace ddmgnn::mg {
 
-enum class Smoother { kJacobi, kChebyshev };
-
-struct CycleConfig {
-  bool w_cycle = false;
-  Smoother smoother = Smoother::kJacobi;
-  /// Jacobi sweeps / Chebyshev polynomial degree, applied pre AND post.
-  int smooth_steps = 1;
-};
-
-class VCycle final : public partition::CoarseComponent {
+class VCycle {
  public:
-  VCycle(Hierarchy hierarchy, CycleConfig config);
+  explicit VCycle(Hierarchy hierarchy);
 
-  void apply_add(std::span<const double> r, std::span<double> z)
-      const override;
-  void apply_add_many(const la::MultiVector& r,
-                      la::MultiVector& z) const override;
+  /// z += B_c r on the fine level.
+  void apply_add(std::span<const double> r, std::span<double> z) const;
+  /// Block form, column-for-column bitwise identical to apply_add.
+  void apply_add_many(const la::MultiVector& r, la::MultiVector& z) const;
 
-  std::string name() const override;
-  std::size_t memory_bytes() const override { return h_.memory_bytes(); }
-  std::size_t dense_factor_bytes() const override {
-    return h_.dense_factor_bytes();
-  }
+  /// Bytes retained after setup (level operators, transfers, factor).
+  std::size_t memory_bytes() const { return h_.memory_bytes(); }
+  /// Bytes held in the dense coarsest factor.
+  std::size_t dense_factor_bytes() const { return h_.dense_factor_bytes(); }
 
   const Hierarchy& hierarchy() const { return h_; }
-  const CycleConfig& config() const { return cfg_; }
 
  private:
   // e ← cycle approximation of A_lvl⁻¹ r (e is overwritten).
@@ -58,7 +50,6 @@ class VCycle final : public partition::CoarseComponent {
                    la::MultiVector& x) const;
 
   Hierarchy h_;
-  CycleConfig cfg_;
 };
 
 }  // namespace ddmgnn::mg

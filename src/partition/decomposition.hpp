@@ -26,7 +26,7 @@ struct Decomposition {
   /// Overlapping subdomain node lists, each sorted ascending (defines R_i).
   std::vector<std::vector<Index>> subdomains;
   /// 1 / (#subdomains containing the node): the partition-of-unity weights
-  /// used by the Nicolaides coarse space.
+  /// that seed the coarse space (mg::nicolaides_prolongator).
   std::vector<double> inv_multiplicity;
 
   Index num_nodes() const { return static_cast<Index>(owner.size()); }

@@ -135,21 +135,9 @@ AdditiveSchwarz::AdditiveSchwarz(const la::CsrMatrix& a,
     static obs::Gauge& g =
         obs::Registry::instance().gauge("setup.coarse_space_seconds");
     obs::PhaseTimer t("setup.coarse_space", &g);
-    coarse_ = std::make_unique<partition::NicolaidesCoarseSpace>(a, dec);
-  } else {
-    name_suffix_ = "-1level";
+    coarse_ = std::make_unique<mg::VCycle>(
+        mg::build_hierarchy(a, dec, config.seed));
   }
-}
-
-AdditiveSchwarz::AdditiveSchwarz(
-    const la::CsrMatrix& a, const partition::Decomposition& dec,
-    std::unique_ptr<SubdomainSolver> local_solver,
-    std::unique_ptr<partition::CoarseComponent> coarse,
-    std::string name_suffix)
-    : dec_(&dec), solver_(std::move(local_solver)),
-      name_suffix_(coarse == nullptr ? "-1level" : std::move(name_suffix)) {
-  setup_local(a, dec);
-  coarse_ = std::move(coarse);
 }
 
 std::unique_ptr<ApplyWorkspace> AdditiveSchwarz::make_workspace() const {
@@ -257,7 +245,7 @@ void AdditiveSchwarz::apply_many(const la::MultiVector& r,
 }
 
 std::string AdditiveSchwarz::name() const {
-  return std::string("ddm-") + solver_->name() + name_suffix_;
+  return std::string("ddm-") + solver_->name() + (coarse_ ? "" : "-1level");
 }
 
 }  // namespace ddmgnn::precond

@@ -6,7 +6,10 @@
 // With a CholeskySubdomainSolver this is the paper's DDM-LU; with the GNN
 // subdomain solver from src/core it is DDM-GNN (which additionally applies
 // the residual-normalization of §III-A inside the solver). Local solves run
-// in parallel; the coarse correction is the scalability term.
+// in parallel; the coarse correction is the scalability term. It is the
+// smoothed-aggregation V-cycle of src/mg, whose first level is the Nicolaides
+// basis R0ᵀ smoothed once and whose depth follows from K (one coarse level
+// while K ≤ mg::kMaxCoarseRows).
 //
 // A constructed AdditiveSchwarz is immutable: every per-application buffer
 // (local restrictions, block scratch, the subdomain solver's scratch) lives
@@ -14,11 +17,11 @@
 // shared instance safely.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "la/csr.hpp"
-#include "partition/coarse_component.hpp"
-#include "partition/coarse_space.hpp"
+#include "mg/vcycle.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/subdomain_solver.hpp"
@@ -28,11 +31,13 @@ namespace ddmgnn::precond {
 class AdditiveSchwarz final : public Preconditioner {
  public:
   struct Config {
-    bool two_level = true;  // add the Nicolaides coarse correction
+    bool two_level = true;  // add the coarse correction
+    std::uint64_t seed = 0;  // power-iteration seed of the coarse build
   };
 
   /// `dec` must outlive the preconditioner. Extracts all R_i A R_iᵀ blocks
-  /// and hands them to `local_solver` for setup.
+  /// and hands them to `local_solver` for setup, then builds the coarse
+  /// hierarchy under the setup.coarse_space phase.
   AdditiveSchwarz(const la::CsrMatrix& a, const partition::Decomposition& dec,
                   std::unique_ptr<SubdomainSolver> local_solver,
                   Config config);
@@ -40,15 +45,6 @@ class AdditiveSchwarz final : public Preconditioner {
   AdditiveSchwarz(const la::CsrMatrix& a, const partition::Decomposition& dec,
                   std::unique_ptr<SubdomainSolver> local_solver)
       : AdditiveSchwarz(a, dec, std::move(local_solver), Config{}) {}
-  /// Generalized form: plug in any CoarseComponent (an mg::VCycle for the
-  /// L-level method, a NicolaidesCoarseSpace for the classic two-level one,
-  /// nullptr for one-level). `name_suffix` is appended to "ddm-<solver>" so
-  /// registry entries keep name() == registry name (e.g. "-ml"); ignored
-  /// (forced to "-1level") when coarse is null.
-  AdditiveSchwarz(const la::CsrMatrix& a, const partition::Decomposition& dec,
-                  std::unique_ptr<SubdomainSolver> local_solver,
-                  std::unique_ptr<partition::CoarseComponent> coarse,
-                  std::string name_suffix = "");
 
   using Preconditioner::apply;
   using Preconditioner::apply_many;
@@ -69,17 +65,11 @@ class AdditiveSchwarz final : public Preconditioner {
   void apply_many(const la::MultiVector& r, la::MultiVector& z,
                   ApplyWorkspace* ws) const override;
   std::string name() const override;
-  bool is_symmetric() const override {
-    return solver_->is_symmetric() &&
-           (coarse_ == nullptr || coarse_->is_symmetric());
-  }
+  bool is_symmetric() const override { return solver_->is_symmetric(); }
 
   const SubdomainSolver& local_solver() const { return *solver_; }
-  bool two_level() const { return coarse_ != nullptr; }
-  /// The coarse correction in use (nullptr for the one-level method).
-  const partition::CoarseComponent* coarse_component() const {
-    return coarse_.get();
-  }
+  /// The coarse correction (nullptr for the one-level method).
+  const mg::VCycle* coarse() const { return coarse_.get(); }
 
  private:
   struct Scratch;
@@ -88,8 +78,7 @@ class AdditiveSchwarz final : public Preconditioner {
 
   const partition::Decomposition* dec_;
   std::unique_ptr<SubdomainSolver> solver_;
-  std::unique_ptr<partition::CoarseComponent> coarse_;
-  std::string name_suffix_;
+  std::unique_ptr<mg::VCycle> coarse_;
 };
 
 }  // namespace ddmgnn::precond

@@ -9,10 +9,6 @@
 // GNN-backed ones from src/core — a deliberate, contained layering exception
 // so that callers get a complete name table from a single lookup point.
 #include "core/gnn_subdomain_solver.hpp"
-#include "mg/hierarchy.hpp"
-#include "mg/vcycle.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 #include "precond/ic0_precond.hpp"
@@ -69,56 +65,7 @@ std::unique_ptr<Preconditioner> make_schwarz(
     std::unique_ptr<SubdomainSolver> local) {
   return std::make_unique<AdditiveSchwarz>(
       require_matrix(ctx), require_decomposition(ctx, name), std::move(local),
-      AdditiveSchwarz::Config{two_level});
-}
-
-// The `-ml` entries: with mg_levels == 1 this is exactly the plain two-level
-// entry (same NicolaidesCoarseSpace construction — bitwise-identical solves);
-// with mg_levels >= 2 the coarse solve becomes a smoothed-aggregation
-// V/W-cycle built under the setup.hierarchy phase.
-std::unique_ptr<Preconditioner> make_schwarz_ml(
-    const PrecondContext& ctx, std::string_view name,
-    std::unique_ptr<SubdomainSolver> local) {
-  const la::CsrMatrix& A = require_matrix(ctx);
-  const partition::Decomposition& dec = require_decomposition(ctx, name);
-  if (ctx.mg_levels <= 1) {
-    std::unique_ptr<partition::CoarseComponent> nico;
-    {
-      static obs::Gauge& g =
-          obs::Registry::instance().gauge("setup.coarse_space_seconds");
-      obs::PhaseTimer t("setup.coarse_space", &g);
-      nico = std::make_unique<partition::NicolaidesCoarseSpace>(A, dec);
-    }
-    return std::make_unique<AdditiveSchwarz>(A, dec, std::move(local),
-                                             std::move(nico), "-ml");
-  }
-  DDMGNN_CHECK(ctx.mg_cycle == "v" || ctx.mg_cycle == "w",
-               std::string(name) + ": mg_cycle must be 'v' or 'w', got '" +
-                   ctx.mg_cycle + "'");
-  DDMGNN_CHECK(ctx.mg_smoother == "jacobi" || ctx.mg_smoother == "chebyshev",
-               std::string(name) +
-                   ": mg_smoother must be 'jacobi' or 'chebyshev', got '" +
-                   ctx.mg_smoother + "'");
-  DDMGNN_CHECK(ctx.mg_smooth_steps >= 1,
-               std::string(name) + ": mg_smooth_steps must be >= 1");
-  std::unique_ptr<mg::VCycle> cycle;
-  {
-    static obs::Gauge& g =
-        obs::Registry::instance().gauge("setup.hierarchy_seconds");
-    obs::PhaseTimer t("setup.hierarchy", &g);
-    mg::HierarchyOptions opts;
-    opts.levels = ctx.mg_levels;
-    opts.aggregate_target = ctx.mg_aggregate_target;
-    opts.seed = ctx.seed;
-    mg::CycleConfig cc;
-    cc.w_cycle = ctx.mg_cycle == "w";
-    cc.smoother = ctx.mg_smoother == "chebyshev" ? mg::Smoother::kChebyshev
-                                                 : mg::Smoother::kJacobi;
-    cc.smooth_steps = ctx.mg_smooth_steps;
-    cycle = std::make_unique<mg::VCycle>(mg::build_hierarchy(A, dec, opts), cc);
-  }
-  return std::make_unique<AdditiveSchwarz>(A, dec, std::move(local),
-                                           std::move(cycle), "-ml");
+      AdditiveSchwarz::Config{two_level, ctx.seed});
 }
 
 }  // namespace
@@ -162,20 +109,6 @@ PrecondRegistry::PrecondRegistry() {
       [](const PrecondContext& ctx) {
         return make_schwarz(ctx, "ddm-gnn-1level", /*two_level=*/false,
                             make_gnn_local(ctx, "ddm-gnn-1level"));
-      });
-  add("ddm-lu-ml", PrecondTraits{.needs_decomposition = true},
-      [](const PrecondContext& ctx) {
-        return make_schwarz_ml(ctx, "ddm-lu-ml",
-                               std::make_unique<CholeskySubdomainSolver>());
-      });
-  add("ddm-gnn-ml",
-      PrecondTraits{.needs_decomposition = true,
-                    .needs_model = true,
-                    .symmetric = false,
-                    .needs_geometry = true},
-      [](const PrecondContext& ctx) {
-        return make_schwarz_ml(ctx, "ddm-gnn-ml",
-                               make_gnn_local(ctx, "ddm-gnn-ml"));
       });
   // Short spellings kept from the legacy solve_poisson tool flags.
   add_alias("ddm-lu-1", "ddm-lu-1level");

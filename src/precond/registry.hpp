@@ -73,16 +73,7 @@ struct PrecondContext {
   /// fp32 sweeps for the Cholesky fallbacks (mixed-precision apply; pair
   /// with SolveOptions::precond_fp32 on the outer Krylov).
   bool gnn_fp32_fallback = false;
-  /// Multi-level coarse hierarchy knobs (the `-ml` entries). mg_levels is
-  /// the coarse-hierarchy depth: 1 keeps the classic dense Nicolaides solve
-  /// (bitwise-identical to the plain entries), L >= 2 builds a smoothed-
-  /// aggregation hierarchy and applies it as a V/W-cycle.
-  int mg_levels = 1;
-  std::string mg_cycle = "v";        // "v" | "w"
-  std::string mg_smoother = "jacobi";  // "jacobi" | "chebyshev"
-  int mg_smooth_steps = 1;
-  la::Index mg_aggregate_target = 8;
-  /// Seed for the hierarchy's power-iteration damping estimates.
+  /// Seed for the coarse hierarchy's power-iteration damping estimates.
   std::uint64_t seed = 0;
 };
 

@@ -1,9 +1,10 @@
-// Multi-level hierarchy tests: build determinism across thread counts,
-// V-cycle apply determinism and block/scalar bitwise equivalence, the
-// mg_levels=1 bitwise-identity guarantee at session level, convergence of
-// the 3-level method and the W-cycle/Chebyshev variants, dense-factor
-// shrinkage vs the one-shot Nicolaides coarse solve, and concurrent applies
-// of one shared cycle (the TSan-meaningful test).
+// Coarse-hierarchy tests: automatic depth from the row cap, build
+// determinism across thread counts, V-cycle apply determinism and
+// block/scalar bitwise equivalence (directly and through AdditiveSchwarz),
+// dense-factor shrinkage vs the K×K factor, convergence of the multi-level
+// solve against an exact solve on its first coarse level, the
+// setup.coarse_space gauge, and concurrent applies of one shared cycle (the
+// TSan-meaningful test).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,13 +15,16 @@
 #include "common/rng.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
+#include "la/dense.hpp"
 #include "la/multivector.hpp"
 #include "mesh/generator.hpp"
 #include "mg/hierarchy.hpp"
 #include "mg/vcycle.hpp"
-#include "partition/coarse_space.hpp"
+#include "obs/flags.hpp"
+#include "obs/metrics.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
+#include "solver/krylov.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define DDMGNN_TSAN 1
@@ -58,19 +62,26 @@ struct Fixture {
   partition::Decomposition dec;
 };
 
-/// A problem large enough that the hierarchy genuinely coarsens: `parts`
-/// subdomains so the level-1 operator has `parts` rows before aggregation.
-Fixture make_fixture(std::uint64_t seed, double h, Index parts) {
-  mesh::Mesh m = mesh::generate_mesh(mesh::random_domain(seed), h, seed);
+/// `parts` subdomains, so the level-1 operator has `parts` rows. Above
+/// mg::kMaxCoarseRows the hierarchy coarsens further.
+Fixture make_fixture(std::uint64_t seed, Index nodes, Index parts) {
+  mesh::Mesh m =
+      mesh::generate_mesh_target_nodes(mesh::random_domain(seed), nodes, seed);
   auto prob = fem::assemble_poisson(
       m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
   auto dec = partition::decompose(m.adj_ptr(), m.adj(), parts, 2, seed);
   return {std::move(m), std::move(prob), std::move(dec)};
 }
 
+/// K = 300 > kMaxCoarseRows: a genuinely multi-level hierarchy.
+Fixture deep_fixture(std::uint64_t seed) {
+  return make_fixture(seed, 9000, 300);
+}
+
 bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 void expect_same_matrix(const la::CsrMatrix& a, const la::CsrMatrix& b) {
@@ -84,20 +95,33 @@ void expect_same_matrix(const la::CsrMatrix& a, const la::CsrMatrix& b) {
   EXPECT_TRUE(bitwise_equal(a.values(), b.values()));
 }
 
+TEST(Hierarchy, DepthFollowsTheCoarseRowCap) {
+  // K ≤ cap: exactly one coarse level of K rows (a two-level method).
+  const Fixture shallow = make_fixture(90, 2000, 24);
+  const mg::Hierarchy h1 = mg::build_hierarchy(shallow.prob.A, shallow.dec, 0);
+  ASSERT_EQ(h1.num_coarse_levels(), 1);
+  EXPECT_EQ(h1.levels[0].A.rows(), 24);
+
+  // K > cap: at least two coarse levels, the first of K rows and the
+  // coarsest within the cap.
+  const Fixture deep = deep_fixture(91);
+  ASSERT_GT(deep.dec.num_parts, mg::kMaxCoarseRows);
+  const mg::Hierarchy h2 = mg::build_hierarchy(deep.prob.A, deep.dec, 0);
+  ASSERT_GE(h2.num_coarse_levels(), 2);
+  EXPECT_EQ(h2.levels[0].A.rows(), deep.dec.num_parts);
+  EXPECT_LE(h2.levels.back().A.rows(), mg::kMaxCoarseRows);
+}
+
 TEST(Hierarchy, BuildIsBitwiseDeterministicAcrossThreadCounts) {
   ThreadGuard guard;
-  const Fixture f = make_fixture(91, 0.035, 24);
-  mg::HierarchyOptions opts;
-  opts.levels = 3;
-  opts.aggregate_target = 4;
-  opts.min_coarse_rows = 2;
+  const Fixture f = deep_fixture(91);
 
   set_num_threads(1);
-  const mg::Hierarchy ref = mg::build_hierarchy(f.prob.A, f.dec, opts);
+  const mg::Hierarchy ref = mg::build_hierarchy(f.prob.A, f.dec, 0);
   ASSERT_GE(ref.num_coarse_levels(), 2);  // it actually coarsened
   for (const int t : sweep_threads()) {
     set_num_threads(t);
-    const mg::Hierarchy h = mg::build_hierarchy(f.prob.A, f.dec, opts);
+    const mg::Hierarchy h = mg::build_hierarchy(f.prob.A, f.dec, 0);
     ASSERT_EQ(h.num_coarse_levels(), ref.num_coarse_levels()) << t;
     for (int l = 0; l < ref.num_coarse_levels(); ++l) {
       SCOPED_TRACE("threads=" + std::to_string(t) +
@@ -113,13 +137,10 @@ TEST(Hierarchy, BuildIsBitwiseDeterministicAcrossThreadCounts) {
 
 TEST(VCycle, ApplyIsBitwiseDeterministicAcrossThreadCounts) {
   ThreadGuard guard;
-  const Fixture f = make_fixture(92, 0.035, 24);
-  mg::HierarchyOptions opts;
-  opts.levels = 3;
-  opts.aggregate_target = 4;
-  opts.min_coarse_rows = 2;
+  const Fixture f = deep_fixture(92);
   set_num_threads(1);
-  const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, opts), {});
+  const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, 0));
+  ASSERT_GE(cycle.hierarchy().num_coarse_levels(), 2);
 
   const Index n = f.m.num_nodes();
   Rng rng(93);
@@ -136,62 +157,64 @@ TEST(VCycle, ApplyIsBitwiseDeterministicAcrossThreadCounts) {
 }
 
 TEST(VCycle, ApplyAddManyMatchesColumnwiseApplyAddBitwise) {
-  const Fixture f = make_fixture(94, 0.045, 12);
-  mg::HierarchyOptions opts;
-  opts.levels = 2;
-  opts.aggregate_target = 4;
-  opts.min_coarse_rows = 2;
-  for (const bool w : {false, true}) {
-    for (const mg::Smoother s :
-         {mg::Smoother::kJacobi, mg::Smoother::kChebyshev}) {
-      mg::CycleConfig cc;
-      cc.w_cycle = w;
-      cc.smoother = s;
-      cc.smooth_steps = 2;
-      const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, opts), cc);
-      const Index n = f.m.num_nodes();
-      const Index cols = 3;
-      Rng rng(95);
-      la::MultiVector r(n, cols), z(n, cols);
-      for (Index j = 0; j < cols; ++j) {
-        for (double& v : r.col(j)) v = rng.uniform(-1, 1);
-        for (double& v : z.col(j)) v = rng.uniform(-1, 1);
-      }
-      la::MultiVector z_blk = z;
-      cycle.apply_add_many(r, z_blk);
-      for (Index j = 0; j < cols; ++j) {
-        std::vector<double> zc(z.col(j).begin(), z.col(j).end());
-        cycle.apply_add(r.col(j), zc);
-        EXPECT_TRUE(bitwise_equal(z_blk.col(j), zc))
-            << "w=" << w << " smoother=" << static_cast<int>(s)
-            << " col=" << j;
-      }
+  // One coarse level (K ≤ cap) and a multi-level hierarchy.
+  for (const Fixture& f : {make_fixture(94, 2000, 12), deep_fixture(95)}) {
+    const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, 0));
+    const Index n = f.m.num_nodes();
+    const Index cols = 3;
+    Rng rng(95);
+    la::MultiVector r(n, cols), z(n, cols);
+    for (Index j = 0; j < cols; ++j) {
+      for (double& v : r.col(j)) v = rng.uniform(-1, 1);
+      for (double& v : z.col(j)) v = rng.uniform(-1, 1);  // accumulates
+    }
+    la::MultiVector z_blk = z;
+    cycle.apply_add_many(r, z_blk);
+    for (Index j = 0; j < cols; ++j) {
+      std::vector<double> zc(z.col(j).begin(), z.col(j).end());
+      cycle.apply_add(r.col(j), zc);
+      EXPECT_TRUE(bitwise_equal(z_blk.col(j), zc))
+          << "levels=" << cycle.hierarchy().num_coarse_levels()
+          << " col=" << j;
     }
   }
 }
 
-TEST(VCycle, DenseFactorShrinksVsNicolaides) {
-  const Fixture f = make_fixture(96, 0.025, 32);
-  const partition::NicolaidesCoarseSpace nico(f.prob.A, f.dec);
-  mg::HierarchyOptions opts;
-  opts.levels = 2;
-  opts.aggregate_target = 4;
-  opts.min_coarse_rows = 2;
-  const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, opts), {});
-  // The one-shot coarse solve factors the full K×K operator dense; the
+TEST(VCycle, AdditiveSchwarzBlockApplyMatchesScalarBitwise) {
+  // Block Krylov lockstep relies on column-exactness through the whole ASM
+  // (local solves + coarse cycle) chain.
+  const Fixture f = deep_fixture(96);
+  const precond::AdditiveSchwarz ddm(
+      f.prob.A, f.dec, std::make_unique<precond::CholeskySubdomainSolver>());
+  ASSERT_NE(ddm.coarse(), nullptr);
+  const Index n = f.m.num_nodes();
+  const Index cols = 4;
+  Rng rng(42);
+  la::MultiVector r(n, cols), z(n, cols);
+  for (Index j = 0; j < cols; ++j) {
+    for (double& v : r.col(j)) v = rng.uniform(-1, 1);
+  }
+  ddm.apply_many(r, z);
+  for (Index j = 0; j < cols; ++j) {
+    std::vector<double> zc(n);
+    ddm.apply(r.col(j), zc);
+    EXPECT_TRUE(bitwise_equal(z.col(j), zc)) << "column " << j;
+  }
+}
+
+TEST(VCycle, DenseFactorShrinksBelowTheKSquaredFactor) {
+  const Fixture f = deep_fixture(96);
+  const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, 0));
+  // A one-shot coarse solve would factor the full K×K operator dense; the
   // hierarchy only dense-factors its (much smaller) coarsest level.
-  EXPECT_EQ(nico.dense_factor_bytes(), std::size_t{32 * 32 * sizeof(double)});
-  EXPECT_LT(cycle.dense_factor_bytes(), nico.dense_factor_bytes());
+  const auto k = static_cast<std::size_t>(f.dec.num_parts);
+  EXPECT_LT(cycle.dense_factor_bytes(), k * k * sizeof(double));
   EXPECT_GT(cycle.memory_bytes(), 0u);
 }
 
 TEST(VCycle, ConcurrentSharedAppliesMatchSerial) {
-  const Fixture f = make_fixture(97, 0.045, 12);
-  mg::HierarchyOptions opts;
-  opts.levels = 2;
-  opts.aggregate_target = 4;
-  opts.min_coarse_rows = 2;
-  const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, opts), {});
+  const Fixture f = deep_fixture(97);
+  const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, 0));
   const Index n = f.m.num_nodes();
   const int clients = 4;
   std::vector<std::vector<double>> rs(clients), refs(clients);
@@ -218,95 +241,83 @@ TEST(VCycle, ConcurrentSharedAppliesMatchSerial) {
   }
 }
 
-TEST(MultiLevelSession, DefaultLevelsIsBitwiseIdenticalToClassicTwoLevel) {
-  const mesh::Mesh m =
-      mesh::generate_mesh(mesh::random_domain(101), 0.03, 101);
-  const auto prob = fem::assemble_poisson(
-      m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
-  core::HybridConfig cfg;
-  cfg.subdomain_target_nodes = 120;
-  cfg.rel_tol = 1e-8;
+/// One-level ASM plus an exact solve on the hierarchy's first coarse level:
+/// the two-level method the V-cycle approximates once K exceeds the cap.
+class ExactFirstCoarseLevel final : public precond::Preconditioner {
+ public:
+  ExactFirstCoarseLevel(const precond::AdditiveSchwarz& one_level,
+                        const mg::CoarseLevel& level)
+      : one_level_(one_level),
+        level_(level),
+        factor_(la::DenseMatrix::from_csr(level.A)) {}
 
-  cfg.preconditioner = "ddm-lu";
-  core::SolverSession classic;
-  classic.setup(m, prob, cfg);
-  std::vector<double> x_classic(m.num_nodes(), 0.0);
-  const auto res_classic = classic.solve(prob.b, x_classic);
-
-  cfg.preconditioner = "ddm-lu-ml";  // mg_levels defaults to 1
-  core::SolverSession ml;
-  ml.setup(m, prob, cfg);
-  std::vector<double> x_ml(m.num_nodes(), 0.0);
-  const auto res_ml = ml.solve(prob.b, x_ml);
-
-  EXPECT_TRUE(res_classic.converged);
-  EXPECT_EQ(res_classic.iterations, res_ml.iterations);
-  EXPECT_TRUE(bitwise_equal(x_classic, x_ml));
-}
-
-TEST(MultiLevelSession, ThreeLevelConvergesNoWorseThan120PercentOfTwoLevel) {
-  const mesh::Mesh m =
-      mesh::generate_mesh(mesh::random_domain(103), 0.02, 103);
-  const auto prob = fem::assemble_poisson(
-      m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
-  core::HybridConfig cfg;
-  cfg.preconditioner = "ddm-lu-ml";
-  cfg.subdomain_target_nodes = 100;
-  cfg.rel_tol = 1e-8;
-
-  core::SolverSession two_level;
-  cfg.mg_levels = 1;
-  two_level.setup(m, prob, cfg);
-  std::vector<double> x2(m.num_nodes(), 0.0);
-  const auto res2 = two_level.solve(prob.b, x2);
-  ASSERT_TRUE(res2.converged);
-
-  core::SolverSession three_level;
-  cfg.mg_levels = 2;
-  three_level.setup(m, prob, cfg);
-  std::vector<double> x3(m.num_nodes(), 0.0);
-  const auto res3 = three_level.solve(prob.b, x3);
-  ASSERT_TRUE(res3.converged);
-  EXPECT_LE(res3.iterations * 10, res2.iterations * 12);
-
-  // It genuinely built a hierarchy (the session exposes it for stats).
-  const auto* schwarz = dynamic_cast<const precond::AdditiveSchwarz*>(
-      &three_level.preconditioner());
-  ASSERT_NE(schwarz, nullptr);
-  const auto* cycle =
-      dynamic_cast<const mg::VCycle*>(schwarz->coarse_component());
-  ASSERT_NE(cycle, nullptr);
-  EXPECT_GE(cycle->hierarchy().num_coarse_levels(), 2);
-}
-
-TEST(MultiLevelSession, WCycleChebyshevVariantConverges) {
-  const mesh::Mesh m =
-      mesh::generate_mesh(mesh::random_domain(105), 0.03, 105);
-  const auto prob = fem::assemble_poisson(
-      m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
-  core::HybridConfig cfg;
-  cfg.preconditioner = "ddm-lu-ml";
-  cfg.subdomain_target_nodes = 100;
-  cfg.rel_tol = 1e-8;
-  cfg.mg_levels = 3;
-  cfg.mg_cycle = "w";
-  cfg.mg_smoother = "chebyshev";
-  cfg.mg_smooth_steps = 2;
-  core::SolverSession session;
-  session.setup(m, prob, cfg);
-  std::vector<double> x(m.num_nodes(), 0.0);
-  const auto res = session.solve(prob.b, x);
-  EXPECT_TRUE(res.converged);
-  // Residual check against the operator: the cycle is a genuine
-  // preconditioner, not a no-op.
-  std::vector<double> ax(m.num_nodes());
-  prob.A.multiply(x, ax);
-  double num = 0.0, den = 0.0;
-  for (Index i = 0; i < m.num_nodes(); ++i) {
-    num += (ax[i] - prob.b[i]) * (ax[i] - prob.b[i]);
-    den += prob.b[i] * prob.b[i];
+  using Preconditioner::apply;
+  std::unique_ptr<precond::ApplyWorkspace> make_workspace() const override {
+    return one_level_.make_workspace();
   }
-  EXPECT_LT(std::sqrt(num / den), 1e-6);
+  void apply(std::span<const double> r, std::span<double> z,
+             precond::ApplyWorkspace* ws) const override {
+    one_level_.apply(r, z, ws);
+    std::vector<double> rc(level_.A.rows()), corr(z.size());
+    level_.R.multiply(r, rc);
+    factor_.solve_inplace(rc);
+    level_.P.multiply(rc, corr);
+    for (std::size_t i = 0; i < z.size(); ++i) z[i] += corr[i];
+  }
+  std::string name() const override { return "exact-first-coarse-level"; }
+
+ private:
+  const precond::AdditiveSchwarz& one_level_;
+  const mg::CoarseLevel& level_;
+  la::DenseCholesky factor_;
+};
+
+TEST(MultiLevel, ConvergesNoWorseThan120PercentOfExactCoarseSolve) {
+  const Fixture f = deep_fixture(103);
+  const precond::AdditiveSchwarz multi(
+      f.prob.A, f.dec, std::make_unique<precond::CholeskySubdomainSolver>());
+  ASSERT_NE(multi.coarse(), nullptr);
+  const mg::Hierarchy& h = multi.coarse()->hierarchy();
+  ASSERT_GE(h.num_coarse_levels(), 2);
+  const precond::AdditiveSchwarz one_level(
+      f.prob.A, f.dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      precond::AdditiveSchwarz::Config{false});
+  const ExactFirstCoarseLevel exact(one_level, h.levels[0]);
+
+  solver::SolveOptions opts;
+  opts.rel_tol = 1e-8;
+  opts.max_iterations = 2000;
+  std::vector<double> x2(f.m.num_nodes(), 0.0);
+  const auto res2 = solver::pcg(f.prob.A, exact, f.prob.b, x2, opts);
+  ASSERT_TRUE(res2.converged);
+  std::vector<double> xm(f.m.num_nodes(), 0.0);
+  const auto resm = solver::pcg(f.prob.A, multi, f.prob.b, xm, opts);
+  ASSERT_TRUE(resm.converged);
+  EXPECT_LE(resm.iterations * 10, res2.iterations * 12);
+}
+
+TEST(CoarseSetup, GaugeAdvancesOnADdmLuSetupAboveTheCap) {
+  const Fixture f = deep_fixture(104);
+  core::HybridConfig cfg;
+  cfg.preconditioner = "ddm-lu";
+  cfg.subdomain_target_nodes = 30;  // K ≈ 300 > kMaxCoarseRows
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Gauge& g =
+      obs::Registry::instance().gauge("setup.coarse_space_seconds");
+  const double before = g.value();
+  core::SolverSession session;
+  session.setup(f.m, f.prob, cfg);
+  const double after = g.value();
+  obs::set_metrics_enabled(was_enabled);
+
+  ASSERT_GT(session.num_subdomains(), mg::kMaxCoarseRows);
+  const auto* schwarz = dynamic_cast<const precond::AdditiveSchwarz*>(
+      &session.preconditioner());
+  ASSERT_NE(schwarz, nullptr);
+  ASSERT_NE(schwarz->coarse(), nullptr);
+  EXPECT_GE(schwarz->coarse()->hierarchy().num_coarse_levels(), 2);
+  EXPECT_GT(after, before);
 }
 
 }  // namespace

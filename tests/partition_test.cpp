@@ -1,20 +1,21 @@
 // Partitioner + coarse-space tests: cover/balance/overlap invariants across
-// random meshes (parameterized), restriction operator algebra, Nicolaides
-// coarse operator correctness against a dense reference.
+// random meshes (parameterized), restriction operator algebra, the
+// Nicolaides prolongator and the smoothed coarse operator against a dense
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 
 #include "common/rng.hpp"
 #include "fem/poisson.hpp"
 #include "la/dense.hpp"
-#include "la/multivector.hpp"
+#include "la/spgemm.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
+#include "mg/hierarchy.hpp"
+#include "mg/vcycle.hpp"
 #include "partition/aggregate.hpp"
-#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 
 namespace {
@@ -127,7 +128,6 @@ TEST(CoarseSpace, MatchesDenseReference) {
   const auto prob = fem::assemble_poisson(
       m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
   const auto dec = partition::decompose(m.adj_ptr(), m.adj(), 5, 2, 31);
-  const partition::NicolaidesCoarseSpace cs(prob.A, dec);
 
   // Dense reference: build R0 explicitly, compute R0 A R0ᵀ.
   const Index n = m.num_nodes();
@@ -139,69 +139,87 @@ TEST(CoarseSpace, MatchesDenseReference) {
   }
   const auto a_dense = la::DenseMatrix::from_csr(prob.A);
   const auto ref = r0.matmul(a_dense).matmul(r0.transposed());
+
+  // The hierarchy's tentative prolongator is exactly R0ᵀ, and its Galerkin
+  // product is the Nicolaides coarse operator R0 A R0ᵀ.
+  const la::CsrMatrix r0t = mg::nicolaides_prolongator(dec);
+  ASSERT_EQ(r0t.rows(), n);
+  ASSERT_EQ(r0t.cols(), 5);
+  const auto r0t_dense = la::DenseMatrix::from_csr(r0t);
+  for (Index v = 0; v < n; ++v) {
+    for (Index p = 0; p < 5; ++p) EXPECT_EQ(r0t_dense(v, p), r0(p, v));
+  }
+  const auto galerkin = la::DenseMatrix::from_csr(
+      la::spgemm(r0t.transpose(), la::spgemm(prob.A, r0t)));
   for (Index i = 0; i < 5; ++i) {
     for (Index j = 0; j < 5; ++j) {
-      EXPECT_NEAR(cs.coarse_matrix()(i, j), ref(i, j),
+      EXPECT_NEAR(galerkin(i, j), ref(i, j),
                   1e-10 * (1.0 + std::abs(ref(i, j))));
     }
   }
 
-  // apply_add equals the dense formula R0ᵀ (R0AR0ᵀ)⁻¹ R0 r.
+  // K ≤ kMaxCoarseRows: one coarse level whose basis is R0ᵀ smoothed once,
+  // P = (I − ω D⁻¹A) R0ᵀ, i.e. R0ᵀ − P = ω D⁻¹A R0ᵀ for a single ω > 0.
+  const mg::VCycle cycle(mg::build_hierarchy(prob.A, dec, 0));
+  ASSERT_EQ(cycle.hierarchy().num_coarse_levels(), 1);
+  const mg::CoarseLevel& level = cycle.hierarchy().levels[0];
+  const auto p_dense = la::DenseMatrix::from_csr(level.P);
+  const auto a_r0t = a_dense.matmul(r0.transposed());
+  double omega = 0.0;
+  for (Index v = 0; v < n; ++v) {
+    const double d = a_dense(v, v);
+    for (Index p = 0; p < 5; ++p) {
+      const double step = a_r0t(v, p) / d;
+      if (std::abs(step) < 1e-3) continue;
+      const double w = (r0(p, v) - p_dense(v, p)) / step;
+      if (omega == 0.0) omega = w;
+      EXPECT_NEAR(w, omega, 1e-9 * omega) << "node " << v << " part " << p;
+    }
+  }
+  EXPECT_GT(omega, 0.0);
+  for (Index v = 0; v < n; ++v) {
+    for (Index p = 0; p < 5; ++p) {
+      EXPECT_NEAR(p_dense(v, p),
+                  r0(p, v) - omega * a_r0t(v, p) / a_dense(v, v), 1e-12);
+    }
+  }
+
+  // The coarse operator is the Galerkin product PᵀAP, and apply_add equals
+  // the dense formula P (PᵀAP)⁻¹ Pᵀ r.
+  const auto pt = p_dense.transposed();
+  const auto coarse_ref = pt.matmul(a_dense).matmul(p_dense);
+  const auto coarse = la::DenseMatrix::from_csr(level.A);
+  for (Index i = 0; i < 5; ++i) {
+    for (Index j = 0; j < 5; ++j) {
+      EXPECT_NEAR(coarse(i, j), coarse_ref(i, j),
+                  1e-10 * (1.0 + std::abs(coarse_ref(i, j))));
+    }
+  }
   Rng rng(32);
   std::vector<double> r(n);
   for (double& v : r) v = rng.uniform(-1, 1);
   std::vector<double> z(n, 0.0);
-  cs.apply_add(r, z);
+  cycle.apply_add(r, z);
   std::vector<double> rc(5);
-  r0.multiply(r, rc);
-  const la::DenseCholesky chol(ref);
+  pt.multiply(r, rc);
+  const la::DenseCholesky chol(coarse_ref);
   chol.solve_inplace(rc);
   std::vector<double> z_ref(n);
-  r0.transposed().multiply(rc, z_ref);
+  p_dense.multiply(rc, z_ref);
   for (Index v = 0; v < n; ++v) EXPECT_NEAR(z[v], z_ref[v], 1e-9);
 }
 
 TEST(CoarseSpace, RestrictionOfConstantResidualScalesWithSubdomainMass) {
   const mesh::Mesh m = mesh::generate_mesh(mesh::random_domain(33), 0.09, 33);
-  const auto prob = fem::assemble_poisson(
-      m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
   const auto dec = partition::decompose(m.adj_ptr(), m.adj(), 4, 2, 33);
-  const partition::NicolaidesCoarseSpace cs(prob.A, dec);
+  const la::CsrMatrix r0t = mg::nicolaides_prolongator(dec);
   std::vector<double> ones(m.num_nodes(), 1.0);
-  const auto rc = cs.restrict_residual(ones);
+  std::vector<double> rc(dec.num_parts);
+  r0t.multiply_transpose(ones, rc);  // R0 1
   double total = 0.0;
   for (const double v : rc) total += v;
   // Partition of unity: Σ_i (R0 1)_i = N.
   EXPECT_NEAR(total, static_cast<double>(m.num_nodes()), 1e-9);
-}
-
-TEST(CoarseSpace, ApplyAddManyMatchesColumnwiseApplyAddBitwise) {
-  const mesh::Mesh m = mesh::generate_mesh(mesh::random_domain(41), 0.07, 41);
-  const auto prob = fem::assemble_poisson(
-      m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
-  const auto dec = partition::decompose(m.adj_ptr(), m.adj(), 6, 2, 41);
-  const partition::NicolaidesCoarseSpace cs(prob.A, dec);
-  const Index n = m.num_nodes();
-  const Index cols = 4;
-  Rng rng(42);
-  la::MultiVector r(n, cols), z(n, cols);
-  for (Index j = 0; j < cols; ++j) {
-    for (double& v : r.col(j)) v = rng.uniform(-1, 1);
-    for (double& v : z.col(j)) v = rng.uniform(-1, 1);  // accumulates into z
-  }
-  la::MultiVector z_blk = z;
-  cs.apply_add_many(r, z_blk);
-  for (Index j = 0; j < cols; ++j) {
-    std::vector<double> zc(z.col(j).begin(), z.col(j).end());
-    cs.apply_add(r.col(j), zc);
-    // The CoarseComponent contract: the block path is column-for-column
-    // bitwise identical to the scalar path (block Krylov lockstep relies
-    // on it through the whole ASM + coarse chain).
-    EXPECT_EQ(std::memcmp(z_blk.col(j).data(), zc.data(),
-                          zc.size() * sizeof(double)),
-              0)
-        << "column " << j;
-  }
 }
 
 TEST(Aggregate, CoversEveryNodeWithDenseAggregateIds) {

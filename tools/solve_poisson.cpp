@@ -23,12 +23,10 @@
 // omitted); default picked from the preconditioner's symmetry.
 // --repeat N re-solves the same system N times through one session, showing
 // the setup cost amortize away.
-// Multi-level (-ml entries): --levels L sets the coarse-hierarchy depth
-// (L=1 keeps the classic dense Nicolaides solve; L>=2 builds the
-// smoothed-aggregation hierarchy), --cycle v|w picks the cycle shape,
-// --smoother jacobi|chebyshev and --smooth-steps N tune the intermediate
-// levels. When a hierarchy is active a per-level stats block (rows / nnz
-// per level, dense-factor and total coarse bytes) is printed after setup.
+// The coarse hierarchy picks its own depth from the number of subdomains K;
+// when it has more than one coarse level (K > 256) a per-level stats block
+// (rows / nnz per level, dense-factor and total coarse bytes) is printed
+// after setup.
 // --threads N pins the worker-thread count (reported as threads= on every
 // result line so timings stay interpretable).
 // --verbose-timing prints a one-line phase summary (setup / iterate /
@@ -49,7 +47,6 @@
 #include "gnn/model_io.hpp"
 #include "la/mm_io.hpp"
 #include "mesh/generator.hpp"
-#include "mg/vcycle.hpp"
 #include "obs/flags.hpp"
 #include "obs/forensics.hpp"
 #include "obs/metrics.hpp"
@@ -223,19 +220,7 @@ int main(int argc, char** argv) {
   cfg.max_iterations = static_cast<int>(arg_num(argc, argv, "--max-iters", 5000));
   cfg.gnn_refinement_steps =
       static_cast<int>(arg_num(argc, argv, "--refine", 0));
-  cfg.mg_levels = static_cast<int>(arg_num(argc, argv, "--levels", 1));
-  cfg.mg_cycle = arg_str(argc, argv, "--cycle", "v");
-  cfg.mg_smoother = arg_str(argc, argv, "--smoother", "jacobi");
-  cfg.mg_smooth_steps =
-      static_cast<int>(arg_num(argc, argv, "--smooth-steps", 1));
   cfg.seed = seed;
-  if (cfg.mg_levels > 1 && !precond.ends_with("-ml")) {
-    std::fprintf(stderr,
-                 "--levels %d only applies to the multi-level entries "
-                 "(ddm-lu-ml | ddm-gnn-ml); --precond %s ignores it\n",
-                 cfg.mg_levels, precond.c_str());
-    return 2;
-  }
 
   std::optional<gnn::DssModel> model;
   if (traits.needs_model) {
@@ -271,18 +256,18 @@ int main(int argc, char** argv) {
     session.setup(*m, prob, cfg);
   }
 
-  // Per-level hierarchy report (only when an mg coarse component is active).
+  // Per-level hierarchy report (only when the coarse space is multi-level).
   if (const auto* schwarz = dynamic_cast<const precond::AdditiveSchwarz*>(
           &session.preconditioner())) {
-    if (const auto* cycle = dynamic_cast<const mg::VCycle*>(
-            schwarz->coarse_component())) {
+    const mg::VCycle* cycle = schwarz->coarse();
+    if (cycle != nullptr && cycle->hierarchy().num_coarse_levels() > 1) {
       const mg::Hierarchy& h = cycle->hierarchy();
       const auto rows = h.level_rows();
       const auto nnz = h.level_nnz();
-      std::printf("mg: cycle=%s coarse_levels=%d dense_factor_bytes=%zu "
+      std::printf("mg: coarse_levels=%d dense_factor_bytes=%zu "
                   "coarse_bytes=%zu\n",
-                  cycle->name().c_str(), h.num_coarse_levels(),
-                  cycle->dense_factor_bytes(), cycle->memory_bytes());
+                  h.num_coarse_levels(), cycle->dense_factor_bytes(),
+                  cycle->memory_bytes());
       for (std::size_t l = 0; l < rows.size(); ++l) {
         std::printf("mg: level=%zu rows=%d nnz=%lld%s\n", l, rows[l],
                     static_cast<long long>(nnz[l]),
