@@ -19,7 +19,6 @@
 #include "common/options.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/hybrid_solver.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
 #include "la/mm_io.hpp"
@@ -212,21 +211,30 @@ inline AnyProblem load_or_make_problem(int argc, char** argv,
   return out;
 }
 
-/// One-shot setup+solve for benches that genuinely solve each system once —
-/// exactly what the deprecated facade is for, so delegate to it (suppressing
-/// the deprecation warning at this one sanctioned call site). Benches that
-/// serve repeated right-hand sides (bench_setup_amortization) hold a
-/// SolverSession themselves instead.
-using RunReport = core::HybridReport;
+/// What a one-shot bench run reports: the solve, K, setup wall time and the
+/// solution.
+struct RunReport {
+  solver::SolveResult result;
+  la::Index num_subdomains = 0;  // K (0 when no decomposition involved)
+  double setup_seconds = 0.0;    // partition + factorizations + graphs
+  std::vector<double> solution;
+};
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+/// One-shot setup+solve for benches that genuinely solve each system once.
+/// Benches that serve repeated right-hand sides (bench_setup_amortization)
+/// hold a SolverSession themselves instead.
 inline RunReport run_session(const mesh::Mesh& m,
                              const fem::PoissonProblem& prob,
                              const core::HybridConfig& cfg) {
-  return core::solve_poisson(m, prob, cfg);
+  core::SolverSession session;
+  session.setup(m, prob, cfg);
+  RunReport report;
+  report.num_subdomains = session.num_subdomains();
+  report.setup_seconds = session.setup_seconds();
+  report.solution.assign(prob.b.size(), 0.0);
+  report.result = session.solve(prob.b, report.solution);
+  return report;
 }
-#pragma GCC diagnostic pop
 
 /// Minimal JSON emission for bench artifacts: a flat object per record,
 /// records written as a JSON array. Values are numbers, booleans or strings.

@@ -52,9 +52,8 @@ struct ApplyStats {
 
 ApplyStats time_applies(const gnn::DssModel& model, const bench::Problem& p,
                         const partition::Decomposition& dec, int reps) {
-  core::GnnSubdomainSolver::Options opts;
-  auto local = std::make_unique<core::GnnSubdomainSolver>(
-      model, p.m, p.prob.dirichlet, opts);
+  auto local = std::make_unique<core::GnnSubdomainSolver>(model, p.m,
+                                                          p.prob.dirichlet);
   precond::AdditiveSchwarz ddm(p.prob.A, dec, std::move(local));
   std::vector<double> z(p.prob.b.size());
   // One caller-owned workspace for the whole timing run, exactly like a
@@ -108,8 +107,7 @@ int main(int argc, char** argv) {
 
   // Per-phase breakdown of the fast path: one forward per subdomain graph
   // (what one preconditioner apply does), accumulated over several passes.
-  core::GnnSubdomainSolver::Options opts;
-  core::GnnSubdomainSolver probe(model, p.m, p.prob.dirichlet, opts);
+  core::GnnSubdomainSolver probe(model, p.m, p.prob.dirichlet);
   {
     std::vector<la::CsrMatrix> locals;
     locals.reserve(dec.subdomains.size());

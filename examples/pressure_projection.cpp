@@ -92,8 +92,7 @@ int main() {
     }
   }
   std::printf("total: %d steps, %d block iterations, %.2fs after one-time "
-              "setup (batched solve_many; set block_multi_rhs=false to "
-              "compare with the sequential loop)\n",
+              "setup (batched solve_many)\n",
               num_steps, total_iters, loop.seconds());
   return 0;
 }

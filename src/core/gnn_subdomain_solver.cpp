@@ -68,6 +68,22 @@ GnnWorkspace& workspace_of(precond::SubdomainSolver::Workspace* ws) {
   return *gws;
 }
 
+/// Residual norms at or below this are a zero local problem: the correction
+/// is 0 and no inference runs.
+constexpr double kZeroThreshold = 1e-300;
+
+/// Adaptive setup (GnnOptions::adaptive_refinement): deterministic probe
+/// residuals per subdomain, the contraction ‖r − A_i z‖/‖r‖ a pass count must
+/// reach, and the cap on extra passes before the exact fallback takes over.
+constexpr int kProbes = 2;
+constexpr double kContractionTarget = 0.25;
+constexpr int kMaxRefinementSteps = 3;
+/// GNN must be predicted MORE than this many times costlier than the exact
+/// sweeps before cost alone triggers the fallback
+/// (GnnOptions::cost_aware_fallback) — a wide margin, so only overwhelming
+/// mismatches (100×+ is typical at Ns≈350 on CPU) flip, never modeling noise.
+constexpr double kFallbackCostMargin = 8.0;
+
 /// Merged-node budget per inference shard. Bounds the forward workspace (the
 /// per-edge tensors of all k̄ blocks) while still fusing several local
 /// problems into one DSS call; shard count never drops below the thread
@@ -89,7 +105,7 @@ std::size_t topology_bytes(const gnn::GraphTopology& t) {
 GnnSubdomainSolver::GnnSubdomainSolver(const gnn::DssModel& model,
                                        const mesh::Mesh& m,
                                        std::span<const std::uint8_t> dirichlet,
-                                       Options options)
+                                       precond::GnnOptions options)
     : GnnSubdomainSolver(
           model, std::vector<mesh::Point2>(m.points().begin(), m.points().end()),
           std::vector<std::uint8_t>(dirichlet.begin(), dirichlet.end()),
@@ -99,7 +115,7 @@ GnnSubdomainSolver::GnnSubdomainSolver(const gnn::DssModel& model,
                                        std::vector<mesh::Point2> coords,
                                        std::vector<std::uint8_t> dirichlet,
                                        la::CsrMatrix message_pattern,
-                                       Options options)
+                                       precond::GnnOptions options)
     : model_(&model),
       coords_(std::move(coords)),
       dirichlet_(std::move(dirichlet)),
@@ -171,14 +187,12 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
   // cost_aware_fallback, contractive subdomains additionally get the exact
   // solve when a flop model (deterministic — no timing, so the chosen
   // configuration is reproducible across runs and machines) predicts the
-  // refined GNN apply to cost more than fallback_cost_margin × the envelope
+  // refined GNN apply to cost more than kFallbackCostMargin × the envelope
   // sweeps.
   refine_steps_.assign(k, std::max(0, options_.refinement_steps));
   fallback_.resize(k);
   const int max_steps =
-      std::max(options_.refinement_steps, options_.max_refinement_steps);
-  const int probes = std::max(1, options_.probes);
-  const double target = options_.contraction_target;
+      std::max(options_.refinement_steps, kMaxRefinementSteps);
   const gnn::DssConfig& mc = model_->config();
   std::atomic<la::Index> fallbacks{0};
   parallel_for_dynamic(k, [&](long i) {
@@ -191,7 +205,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
     std::vector<float> out;
     std::vector<double> r(n), z(n), res(n);
     int needed = -1;  // pass count reaching the target, max over probes
-    for (int probe = 0; probe < probes; ++probe) {
+    for (int probe = 0; probe < kProbes; ++probe) {
       Rng rng((0x5EEDull << 32) ^ (static_cast<std::uint64_t>(i) << 8) ^
               static_cast<std::uint64_t>(probe));
       for (std::size_t l = 0; l < n; ++l) r[l] = rng.uniform(-1.0, 1.0);
@@ -201,7 +215,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
       int reached = -1;
       for (int pass = 0; pass <= max_steps; ++pass) {
         const double norm = la::norm2(res);
-        if (norm <= options_.zero_threshold) {
+        if (norm <= kZeroThreshold) {
           reached = pass == 0 ? 0 : pass - 1;
           break;
         }
@@ -215,7 +229,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
         topo->a_local.multiply(z, res);
         for (std::size_t l = 0; l < n; ++l) res[l] = r[l] - res[l];
         const double rho = la::norm2(res) / (r0 > 0.0 ? r0 : 1.0);
-        if (std::isfinite(rho) && rho <= target) {
+        if (std::isfinite(rho) && rho <= kContractionTarget) {
           reached = pass;
           break;
         }
@@ -246,8 +260,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
           static_cast<double>(mc.iterations) *
           (4.0 * nd * d * h + 2.0 * ne * h * d + 6.0 * nd * d * d);
       const double gnn_flops = (needed + 1) * per_inference;
-      use_fallback =
-          gnn_flops > options_.fallback_cost_margin * exact_flops;
+      use_fallback = gnn_flops > kFallbackCostMargin * exact_flops;
     }
     if (use_fallback) {
       if (!chol) chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
@@ -348,7 +361,7 @@ void GnnSubdomainSolver::solve_all(
     std::vector<double> res(r.begin(), r.end());  // current local residual
     for (int pass = 0; pass <= steps; ++pass) {
       const double norm = la::norm2(res);
-      if (norm <= options_.zero_threshold) break;
+      if (norm <= kZeroThreshold) break;
       const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
       for (std::size_t j = 0; j < n; ++j) sample.rhs[j] = res[j] * inv;
       timed_forward(*model_, sample, edge_caches_[i].get(), lane.dss, out);
@@ -532,7 +545,7 @@ void GnnSubdomainSolver::solve_all_block(
             pass == 0 ? r_loc[task.part].col(task.column)
                       : std::span<const double>(lane.res[t]);
         const double norm = la::norm2(cur);
-        if (norm <= options_.zero_threshold) {
+        if (norm <= kZeroThreshold) {
           // Below threshold the scalar path stops refining this task; a zero
           // rhs slice (and zero scale) contributes exactly nothing here.
           lane.scale[t] = 0.0;

@@ -28,64 +28,22 @@
 #include "gnn/graph.hpp"
 #include "la/skyline_cholesky.hpp"
 #include "mesh/mesh.hpp"
+#include "precond/gnn_options.hpp"
 #include "precond/subdomain_solver.hpp"
 
 namespace ddmgnn::core {
 
 class GnnSubdomainSolver final : public precond::SubdomainSolver {
  public:
-  struct Options {
-    bool normalize_input = true;  // the §III-A normalization (ablatable)
-    double zero_threshold = 1e-300;
-    /// Extra residual-correction passes per local solve:
-    ///   v ← v + ‖res‖ · DSSθ(G_i(res/‖res‖)),  res = r_i − A_i v.
-    /// 0 reproduces the paper exactly (one inference per subdomain per PCG
-    /// iteration). Each step multiplies local accuracy at one extra
-    /// inference — the repo's compensation for its smaller CPU training
-    /// budget (see DESIGN.md); the ablation bench quantifies it.
-    int refinement_steps = 0;
-    /// Refine-until-contractive setup (the served-configuration fix): probe
-    /// each subdomain at setup() with a few deterministic residuals, run the
-    /// refinement loop on the probe, and keep the smallest pass count whose
-    /// measured contraction ‖r − A_i z‖/‖r‖ reaches contraction_target. A
-    /// subdomain still above the target after max_refinement_steps extra
-    /// passes is non-contractive for this model and falls back to an exact
-    /// skyline-Cholesky local solve. refinement_steps then acts as the
-    /// per-subdomain floor.
-    bool adaptive_refinement = false;
-    double contraction_target = 0.25;
-    int max_refinement_steps = 3;
-    int probes = 2;
-    /// Within the adaptive setup, also fall back to the exact solve when a
-    /// deterministic flop model says the refined GNN apply costs more than
-    /// cost_margin × the Cholesky sweeps. A contractive-but-uneconomic
-    /// subdomain is a real serving failure mode on CPU: at small subdomain
-    /// sizes the envelope sweep is both cheaper AND exact, and the GNN local
-    /// solve only pays off where batched inference amortizes (large
-    /// subdomains, GPU-class backends). Set false to force the GNN apply on
-    /// every contractive subdomain regardless of cost (ablations, kernel
-    /// benchmarking).
-    bool cost_aware_fallback = true;
-    /// GNN must be predicted MORE than this many times costlier than the
-    /// exact sweeps before cost alone triggers the fallback — a wide margin,
-    /// so only overwhelming mismatches (100×+ is typical at Ns≈350 on CPU)
-    /// flip, never modeling noise.
-    double fallback_cost_margin = 8.0;
-    /// Run the Cholesky-fallback sweeps on an fp32 factor copy — the local
-    /// piece of a mixed-precision apply (pair with SolveOptions::precond_fp32;
-    /// the outer Krylov's flexibility/true-residual guard absorbs the
-    /// rounding).
-    bool fp32_fallback = false;
-  };
-
   /// `model` must outlive the solver. `m` supplies node geometry and the
   /// mesh adjacency (subdomain message graphs follow the sub-mesh, Eq. 17);
   /// `dirichlet` the global Dirichlet flags.
   GnnSubdomainSolver(const gnn::DssModel& model, const mesh::Mesh& m,
-                     std::span<const std::uint8_t> dirichlet, Options options);
+                     std::span<const std::uint8_t> dirichlet,
+                     precond::GnnOptions options);
   GnnSubdomainSolver(const gnn::DssModel& model, const mesh::Mesh& m,
                      std::span<const std::uint8_t> dirichlet)
-      : GnnSubdomainSolver(model, m, dirichlet, Options{}) {}
+      : GnnSubdomainSolver(model, m, dirichlet, precond::GnnOptions{}) {}
   /// Geometry-generic form for the matrix-first setup path: node positions
   /// (mesh points or synthetic spectral coordinates) and an explicit
   /// message-graph pattern (unit CSR; subdomain graphs are its principal
@@ -94,7 +52,8 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   GnnSubdomainSolver(const gnn::DssModel& model,
                      std::vector<mesh::Point2> coords,
                      std::vector<std::uint8_t> dirichlet,
-                     la::CsrMatrix message_pattern, Options options);
+                     la::CsrMatrix message_pattern,
+                     precond::GnnOptions options);
 
   void setup(std::vector<la::CsrMatrix> local_matrices,
              const partition::Decomposition& dec) override;
@@ -180,7 +139,7 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   std::vector<std::uint8_t> dirichlet_;
   la::CsrMatrix mesh_pattern_;  // global message graph (unit values):
                                 // mesh adjacency or matrix adjacency
-  Options options_;
+  precond::GnnOptions options_;
   std::vector<std::shared_ptr<gnn::GraphTopology>> topologies_;
   std::vector<std::shared_ptr<const gnn::DssEdgeCache>> edge_caches_;
   /// Adaptive-setup state (empty when adaptive_refinement is off): chosen

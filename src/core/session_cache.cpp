@@ -32,7 +32,9 @@ std::uint64_t hash_pod(const T& v, std::uint64_t h) {
   return fnv1a(&v, sizeof(T), h);
 }
 
-std::uint64_t fingerprint_of(const la::CsrMatrix& A, const HybridConfig& cfg,
+// Picks the shard and pre-filters the scan; the config is not hashed —
+// exact comparison (HybridConfig::operator== included) decides a hit.
+std::uint64_t fingerprint_of(const la::CsrMatrix& A,
                              const AlgebraicOptions& opts,
                              const mesh::Mesh* m) {
   std::uint64_t h = 0xCBF29CE484222325ull;
@@ -53,27 +55,6 @@ std::uint64_t fingerprint_of(const la::CsrMatrix& A, const HybridConfig& cfg,
   h = hash_span(A.values(), h);
   h = hash_span(opts.dirichlet, h);
   h = hash_span(opts.coordinates, h);
-  h = fnv1a(cfg.preconditioner.data(), cfg.preconditioner.size(), h);
-  const int method = cfg.method.has_value()
-                         ? static_cast<int>(*cfg.method)
-                         : -1;
-  h = hash_pod(method, h);
-  h = hash_pod(cfg.subdomain_target_nodes, h);
-  h = hash_pod(cfg.overlap, h);
-  h = hash_pod(cfg.rel_tol, h);
-  h = hash_pod(cfg.max_iterations, h);
-  h = hash_pod(cfg.gmres_restart, h);
-  h = hash_pod(cfg.model, h);  // identity of the shared trained model
-  h = hash_pod(cfg.gnn_refinement_steps, h);
-  h = hash_pod(cfg.gnn_normalize, h);
-  h = hash_pod(cfg.gnn_adaptive_refinement, h);
-  h = hash_pod(cfg.gnn_contraction_target, h);
-  h = hash_pod(cfg.gnn_max_refinement_steps, h);
-  h = hash_pod(cfg.gnn_cost_aware_fallback, h);
-  h = hash_pod(cfg.precond_fp32, h);
-  h = hash_pod(cfg.seed, h);
-  h = hash_pod(cfg.track_history, h);
-  h = hash_pod(cfg.block_multi_rhs, h);
   return h;
 }
 
@@ -89,23 +70,6 @@ bool matrices_equal(const la::CsrMatrix& a, const la::CsrMatrix& b) {
          spans_equal(a.row_ptr(), b.row_ptr()) &&
          spans_equal(a.col_idx(), b.col_idx()) &&
          spans_equal(a.values(), b.values());
-}
-
-bool configs_equal(const HybridConfig& a, const HybridConfig& b) {
-  return a.preconditioner == b.preconditioner && a.method == b.method &&
-         a.subdomain_target_nodes == b.subdomain_target_nodes &&
-         a.overlap == b.overlap && a.rel_tol == b.rel_tol &&
-         a.max_iterations == b.max_iterations &&
-         a.gmres_restart == b.gmres_restart && a.model == b.model &&
-         a.gnn_refinement_steps == b.gnn_refinement_steps &&
-         a.gnn_normalize == b.gnn_normalize &&
-         a.gnn_adaptive_refinement == b.gnn_adaptive_refinement &&
-         a.gnn_contraction_target == b.gnn_contraction_target &&
-         a.gnn_max_refinement_steps == b.gnn_max_refinement_steps &&
-         a.gnn_cost_aware_fallback == b.gnn_cost_aware_fallback &&
-         a.precond_fp32 == b.precond_fp32 && a.seed == b.seed &&
-         a.track_history == b.track_history &&
-         a.block_multi_rhs == b.block_multi_rhs;
 }
 
 }  // namespace
@@ -186,7 +150,7 @@ std::shared_ptr<SolverSession> SessionCache::lookup_or_insert(
            !spans_equal(std::span<const la::Index>(e->graph_idx), m->adj()))) {
         continue;
       }
-      if (!configs_equal(e->cfg, cfg) || !matrices_equal(e->A, A) ||
+      if (e->cfg != cfg || !matrices_equal(e->A, A) ||
           !spans_equal(std::span<const std::uint8_t>(e->dirichlet),
                        opts.dirichlet) ||
           !spans_equal(std::span<const mesh::Point2>(e->coordinates),
@@ -298,14 +262,14 @@ std::shared_ptr<SolverSession> SessionCache::get_or_setup(
   AlgebraicOptions opts;
   opts.dirichlet = prob.dirichlet;
   opts.coordinates = m.points();
-  return lookup_or_insert(fingerprint_of(prob.A, cfg, opts, &m), prob.A, cfg,
-                          opts, &m);
+  return lookup_or_insert(fingerprint_of(prob.A, opts, &m), prob.A, cfg, opts,
+                          &m);
 }
 
 std::shared_ptr<SolverSession> SessionCache::get_or_setup(
     const la::CsrMatrix& A, const HybridConfig& cfg,
     const AlgebraicOptions& opts) {
-  return lookup_or_insert(fingerprint_of(A, cfg, opts, nullptr), A, cfg, opts,
+  return lookup_or_insert(fingerprint_of(A, opts, nullptr), A, cfg, opts,
                           nullptr);
 }
 

@@ -5,11 +5,13 @@
 // (partitioning, factorizations, DSS graph construction, coarse space),
 // which bench_setup_amortization shows is many solves' worth of work.
 //
-// Keying: a 64-bit FNV-1a fingerprint over the operator's CSR arrays, the
-// extra algebraic structure (dirichlet mask, coordinates) and every
-// HybridConfig field that influences the prepared state or solve behavior.
-// Fingerprint matches are verified by exact comparison before a hit is
-// declared, so hash collisions degrade to misses, never to wrong sessions.
+// Keying: the key is the operator, the extra algebraic structure (dirichlet
+// mask, coordinates), the setup graph and the whole HybridConfig (its
+// defaulted operator==, so a field added later is keyed automatically). A
+// 64-bit FNV-1a fingerprint over the operator's CSR arrays and that extra
+// structure picks the shard; every candidate is verified by exact comparison
+// before a hit is declared, so hash collisions degrade to misses, never to
+// wrong sessions.
 //
 // Ownership: each entry owns a private copy of its operator (and mesh /
 // problem for the mesh-keyed overload), so cached sessions never dangle when
@@ -19,7 +21,7 @@
 // its own reference, never free a session another thread is solving on. The
 // one reference an entry does NOT own is cfg.model: trained models are large
 // and shared, so GNN-preconditioned entries require the model to outlive the
-// cache (the model pointer is part of the fingerprint).
+// cache (the model pointer is part of the key).
 //
 // Concurrency: get_or_setup is safe from any number of threads. The key
 // index is sharded by fingerprint (one mutex per shard, held only for scans
@@ -31,16 +33,15 @@
 // Stats counters are atomics; stats() returns a snapshot. Solving on the
 // returned sessions concurrently is safe because prepared sessions are
 // immutable at solve time (see the Preconditioner apply-workspace contract);
-// the solve-time *toggles* below are the deliberate exception.
+// the solve-time *toggle* below is the deliberate exception.
 //
 // Sharing contract: every hit hands out the SAME session object, mutably —
-// deliberately, so solve-time toggles (set_method, set_block_multi_rhs) work
-// on cached sessions for A/B comparisons. Those toggles affect every holder
-// (flip them only while no other client is mid-solve), and calling setup()
-// on a cache-returned session throws ContractError — it would re-key the
-// shared prepared state out from under the entry's stored fingerprint.
-// Re-key through the cache instead — get_or_setup with the new
-// operator/config.
+// deliberately, so the solve-time toggle (set_method) works on cached
+// sessions for A/B comparisons. It affects every holder (flip it only while
+// no other client is mid-solve), and calling setup() on a cache-returned
+// session throws ContractError — it would re-key the shared prepared state
+// out from under the entry's stored key. Re-key through the cache instead —
+// get_or_setup with the new operator/config.
 //
 // Eviction: least-recently-used by a byte budget, measured with
 // SolverSession::memory_bytes() plus the entry's owned copies and

@@ -48,10 +48,9 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
   DDMGNN_CHECK(adj_ptr.size() == static_cast<std::size_t>(A.rows()) + 1,
                "setup_from_graph: adjacency does not match the operator");
 
-  // Resolves aliases and throws (listing the registered names) on unknowns.
-  const std::string& canonical =
-      precond::PrecondRegistry::instance().canonical(cfg.preconditioner);
-  const precond::PrecondTraits traits = precond::preconditioner_traits(canonical);
+  // Throws (listing the table's names) on unknown names.
+  const precond::PrecondTraits traits =
+      precond::preconditioner_traits(cfg.preconditioner);
 
   static obs::Gauge& setup_gauge =
       obs::Registry::instance().gauge("session.setup_seconds");
@@ -73,18 +72,16 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
   ctx.dirichlet = opts.dirichlet;
   ctx.coords = opts.coordinates;
   ctx.model = cfg.model;
-  ctx.gnn_refinement_steps = cfg.gnn_refinement_steps;
-  ctx.gnn_normalize = cfg.gnn_normalize;
-  ctx.gnn_adaptive_refinement = cfg.gnn_adaptive_refinement;
-  ctx.gnn_contraction_target = cfg.gnn_contraction_target;
-  ctx.gnn_max_refinement_steps = cfg.gnn_max_refinement_steps;
-  ctx.gnn_cost_aware_fallback = cfg.gnn_cost_aware_fallback;
-  ctx.gnn_fp32_fallback = cfg.precond_fp32;
+  ctx.gnn = {.normalize_input = cfg.gnn_normalize,
+             .refinement_steps = cfg.gnn_refinement_steps,
+             .adaptive_refinement = cfg.gnn_adaptive_refinement,
+             .cost_aware_fallback = cfg.gnn_cost_aware_fallback,
+             .fp32_fallback = cfg.precond_fp32};
   ctx.seed = cfg.seed;
   // The message-graph pattern is only materialized for geometry consumers
   // (the GNN entries); the factories copy it, so it can live on this stack.
   la::CsrMatrix pattern;
-  if (traits.needs_geometry) {
+  if (traits.needs_model) {
     pattern = gnn::adjacency_pattern(adj_ptr, adj);
     ctx.edge_pattern = &pattern;
   }
@@ -94,14 +91,14 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
     static obs::Gauge& g =
         obs::Registry::instance().gauge("setup.preconditioner_seconds");
     obs::PhaseTimer t("setup.preconditioner", &g);
-    m_inv_ = precond::make_preconditioner(canonical, ctx);
+    m_inv_ = precond::make_preconditioner(cfg.preconditioner, ctx);
   }
   a_ = &A;
   setup_seconds_ += setup_timer.seconds();
 
   if (cfg.method.has_value()) {
     method_ = *cfg.method;
-  } else if (canonical == "none") {
+  } else if (cfg.preconditioner == "none") {
     method_ = solver::KrylovMethod::kCg;
   } else {
     // fp32 rounding makes even a symmetric M effectively nonlinear, so the
@@ -127,15 +124,8 @@ void SolverSession::setup(const la::CsrMatrix& A, const HybridConfig& cfg,
   DDMGNN_CHECK(A.rows() == A.cols(),
                "setup(A): operator must be square, got " +
                    std::to_string(A.rows()) + "x" + std::to_string(A.cols()));
-  const std::string& canonical =
-      precond::PrecondRegistry::instance().canonical(cfg.preconditioner);
-  const precond::PrecondTraits traits = precond::preconditioner_traits(canonical);
-  DDMGNN_CHECK(
-      traits.supports_algebraic,
-      "preconditioner '" + canonical +
-          "' is registered without algebraic support and cannot be built "
-          "from a bare matrix; use setup(mesh, prob, cfg) or register an "
-          "algebraic-capable variant");
+  const precond::PrecondTraits traits =
+      precond::preconditioner_traits(cfg.preconditioner);
   const auto n = static_cast<std::size_t>(A.rows());
   DDMGNN_CHECK(opts.dirichlet.empty() || opts.dirichlet.size() == n,
                "setup(A): dirichlet mask must have one entry per row");
@@ -148,14 +138,14 @@ void SolverSession::setup(const la::CsrMatrix& A, const HybridConfig& cfg,
   // actual build.
   Timer derive_timer;
   partition::AdjacencyGraph graph;
-  if (traits.needs_decomposition || traits.needs_geometry) {
+  if (traits.needs_decomposition || traits.needs_model) {
     graph = partition::matrix_adjacency(A);
   } else {
     graph.ptr.assign(static_cast<std::size_t>(A.rows()) + 1, 0);  // edgeless
   }
   std::span<const mesh::Point2> coords = opts.coordinates;
   std::vector<mesh::Point2> synthetic;
-  if (traits.needs_geometry && coords.empty()) {
+  if (traits.needs_model && coords.empty()) {
     synthetic = gnn::spectral_coordinates(graph.ptr, graph.idx,
                                           /*smoothing_steps=*/30, cfg.seed);
     coords = synthetic;
@@ -166,6 +156,16 @@ void SolverSession::setup(const la::CsrMatrix& A, const HybridConfig& cfg,
   derived.coordinates = coords;
   setup_from_graph(A, cfg, graph.ptr, graph.idx, derived);
   setup_seconds_ += derive_seconds;
+}
+
+solver::SolveOptions SolverSession::solve_options() const {
+  solver::SolveOptions opts;
+  opts.rel_tol = cfg_.rel_tol;
+  opts.max_iterations = cfg_.max_iterations;
+  opts.track_history = cfg_.track_history;
+  opts.gmres_restart = cfg_.gmres_restart;
+  opts.precond_fp32 = cfg_.precond_fp32;
+  return opts;
 }
 
 solver::SolveResult SolverSession::solve(std::span<const double> b,
@@ -180,12 +180,7 @@ solver::SolveResult SolverSession::solve(std::span<const double> b,
   // Root span: every solve's full wall time is covered by this one event,
   // with the Krylov iterations and preconditioner phases nested inside.
   obs::Span solve_span("session.solve");
-  solver::SolveOptions opts;
-  opts.rel_tol = cfg_.rel_tol;
-  opts.max_iterations = cfg_.max_iterations;
-  opts.track_history = cfg_.track_history;
-  opts.gmres_restart = cfg_.gmres_restart;
-  opts.precond_fp32 = cfg_.precond_fp32;
+  solver::SolveOptions opts = solve_options();
   opts.x0 = x0;
   solver::SolveResult res =
       solver::run_krylov(method_, *a_, *m_inv_, b, x, opts);
@@ -220,16 +215,10 @@ std::vector<solver::SolveResult> SolverSession::solve_many(
       method_ == solver::KrylovMethod::kCg ||
       method_ == solver::KrylovMethod::kPcg ||
       method_ == solver::KrylovMethod::kFpcg;
-  if (cfg_.block_multi_rhs && block_capable && rhs.size() > 1) {
+  if (block_capable && rhs.size() > 1) {
     for (const auto& b : rhs) {
       DDMGNN_CHECK(b.size() == n, "solve_many: rhs size mismatch");
     }
-    solver::SolveOptions opts;
-    opts.rel_tol = cfg_.rel_tol;
-    opts.max_iterations = cfg_.max_iterations;
-    opts.track_history = cfg_.track_history;
-    opts.gmres_restart = cfg_.gmres_restart;
-    opts.precond_fp32 = cfg_.precond_fp32;
     const la::MultiVector b = la::MultiVector::from_columns(rhs);
     la::MultiVector x(b.rows(), b.cols(), 0.0);
     // The block drivers treat the iterate block as the initial guess
@@ -240,7 +229,7 @@ std::vector<solver::SolveResult> SolverSession::solve_many(
                 x.col(static_cast<la::Index>(i)).begin());
     }
     auto results =
-        solver::run_block_krylov(method_, *a_, *m_inv_, b, x, opts);
+        solver::run_block_krylov(method_, *a_, *m_inv_, b, x, solve_options());
     DDMGNN_CHECK(results.has_value(), "solve_many: block dispatch failed");
     for (std::size_t i = 0; i < rhs.size(); ++i) {
       const auto col = x.col(static_cast<la::Index>(i));

@@ -22,11 +22,11 @@
 //                                              // from synthetic coordinates
 //   session.setup(A, cfg, {dirichlet, coords});// with known extra structure
 //
-// The preconditioner is chosen by name through the string-keyed registry
+// The preconditioner is chosen by name from the fixed preconditioner table
 // (src/precond/registry.hpp) and the Krylov method by the KrylovMethod
-// selector, so both are configuration data rather than call-site code. The
-// old one-shot `solve_poisson` facade survives as a thin deprecated wrapper
-// in core/hybrid_solver.hpp.
+// selector, so both are configuration data rather than call-site code. A
+// SolverSession is the only entry point: a caller that solves a system once
+// sets up a session and solves once.
 #pragma once
 
 #include <memory>
@@ -44,13 +44,15 @@
 
 namespace ddmgnn::core {
 
-/// Configuration of one session: preconditioner by registry name, Krylov
-/// method by selector, plus decomposition and GNN knobs.
+/// Configuration of one session: preconditioner by table name, Krylov
+/// method by selector, plus decomposition and GNN knobs. Compared as a whole
+/// (the defaulted operator==) by core::SessionCache, so every field is part
+/// of the cache key.
 struct HybridConfig {
-  /// Registry name: "none", "jacobi", "ic0", "ddm-lu", "ddm-gnn",
+  /// Table name: "none", "jacobi", "ic0", "ddm-lu", "ddm-gnn",
   /// "ddm-lu-1level", "ddm-gnn-1level" (see precond::preconditioner_names()).
   std::string preconditioner = "ddm-gnn";
-  /// Krylov method. When unset, picked from the preconditioner's traits:
+  /// Krylov method. When unset, picked from the built preconditioner:
   /// "none" runs plain CG, symmetric preconditioners run PCG (Algorithm 1),
   /// non-symmetric ones (the GNN variants) run flexible PCG.
   std::optional<solver::KrylovMethod> method;
@@ -65,15 +67,13 @@ struct HybridConfig {
   int gnn_refinement_steps = 0;
   /// §III-A residual normalization (ablation switch).
   bool gnn_normalize = true;
-  /// Refine-until-contractive setup (GnnSubdomainSolver::Options): probe
+  /// Refine-until-contractive setup (precond::GnnOptions): probe
   /// each subdomain at setup, pick the pass count that actually contracts
   /// the local residual, and fall back to an exact Cholesky local solve for
   /// subdomains the model cannot contract. This is the served-configuration
   /// convergence fix — off by default so existing configs are bit-for-bit
   /// unchanged; gnn_refinement_steps acts as the per-subdomain floor.
   bool gnn_adaptive_refinement = false;
-  double gnn_contraction_target = 0.25;
-  int gnn_max_refinement_steps = 3;
   /// Adaptive mode also serves a subdomain with the exact factor when the
   /// (deterministic) flop model predicts the refined GNN apply to cost
   /// overwhelmingly more than the envelope sweeps — on CPU at small Ns the
@@ -88,11 +88,8 @@ struct HybridConfig {
   bool precond_fp32 = false;
   std::uint64_t seed = 0;
   bool track_history = true;
-  /// solve_many: dispatch to the batched block-Krylov engine (one fused
-  /// SpMM + one block preconditioner application per iteration — for
-  /// DDM-GNN a single disjoint-union DSS inference over all K×s local
-  /// problems). false restores the sequential one-RHS-at-a-time loop.
-  bool block_multi_rhs = true;
+
+  bool operator==(const HybridConfig&) const = default;
 };
 
 /// Optional extra structure for the matrix-first setup path. Everything is
@@ -137,10 +134,9 @@ class SolverSession {
   /// symmetrized stored pattern of `A` (partition::matrix_adjacency) and,
   /// for the GNN preconditioners, graph features come from
   /// `opts.coordinates` or — when empty — synthetic spectral coordinates of
-  /// that same graph. Throws ContractError for unknown names, for registry
-  /// entries whose traits declare no algebraic support
-  /// (PrecondTraits::supports_algebraic == false), for non-square `A`, and
-  /// for mis-sized `opts` spans. `A` must outlive the session's solves.
+  /// that same graph. Throws ContractError for unknown names, for non-square
+  /// `A`, and for mis-sized `opts` spans. `A` must outlive the session's
+  /// solves.
   void setup(const la::CsrMatrix& A, const HybridConfig& cfg,
              const AlgebraicOptions& opts = {});
 
@@ -149,8 +145,7 @@ class SolverSession {
   /// layout). This is the seam for callers that know a better graph than the
   /// matrix pattern (the mesh path passes the mesh adjacency; core's
   /// SessionCache re-keys mesh setups onto its owned operator copies through
-  /// it). No algebraic-support gate applies — providing the graph explicitly
-  /// is the mesh-equivalent. Spans are not retained beyond the call.
+  /// it). Spans are not retained beyond the call.
   void setup_from_graph(const la::CsrMatrix& A, const HybridConfig& cfg,
                         std::span<const la::Offset> adj_ptr,
                         std::span<const la::Index> adj,
@@ -173,12 +168,13 @@ class SolverSession {
   /// Solve the same operator against each right-hand side in `rhs`;
   /// `xs` is resized to match, every solve starting from a zero guess.
   ///
-  /// With cfg.block_multi_rhs (the default) and a CG/PCG/FPCG method, all
-  /// right-hand sides advance together through the block-Krylov engine:
-  /// every iteration pays ONE SpMM and ONE block preconditioner application
-  /// instead of one per RHS, and converged columns are deflated out. The
-  /// sequential loop remains for single RHS, opted-out configs, and methods
-  /// without a block form (BiCGStab/GMRES).
+  /// With a CG/PCG/FPCG method, all right-hand sides advance together
+  /// through the block-Krylov engine: every iteration pays ONE SpMM and ONE
+  /// block preconditioner application instead of one per RHS (for DDM-GNN a
+  /// single disjoint-union DSS inference over all K×s local problems), and
+  /// converged columns are deflated out. A single RHS and methods without a
+  /// block form (BiCGStab/GMRES) run the sequential loop; callers wanting
+  /// that loop for an A/B comparison call solve() per right-hand side.
   std::vector<solver::SolveResult> solve_many(
       std::span<const std::vector<double>> rhs,
       std::vector<std::vector<double>>& xs) const;
@@ -207,9 +203,6 @@ class SolverSession {
   /// Switch the Krylov method for subsequent solves — no re-setup needed;
   /// the preconditioner state is method-agnostic.
   void set_method(solver::KrylovMethod method) { method_ = method; }
-  /// Toggle the batched solve_many dispatch at solve time (A/B comparisons
-  /// need no duplicate setup; the preconditioner state serves both paths).
-  void set_block_multi_rhs(bool enabled) { cfg_.block_multi_rhs = enabled; }
   const precond::Preconditioner& preconditioner() const;
   const HybridConfig& config() const { return cfg_; }
   /// Rough bytes held by the prepared state: the operator's CSR views, the
@@ -232,6 +225,7 @@ class SolverSession {
  private:
   void reset_setup_state();
   void check_setup_allowed() const;
+  solver::SolveOptions solve_options() const;
 
   bool setup_locked_ = false;
   HybridConfig cfg_;

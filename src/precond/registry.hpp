@@ -1,19 +1,15 @@
-// String-keyed preconditioner registry: maps names ("none", "jacobi", "ic0",
-// "ddm-lu", "ddm-gnn", one-level variants) to factories returning
+// The preconditioner table: a fixed list of the seven built-in names
+// ("none", "jacobi", "ic0", "ddm-lu", "ddm-gnn" and the two one-level
+// variants), each with its traits and a factory returning
 // `std::unique_ptr<Preconditioner>`, so the choice of preconditioner is data
-// (a config string) instead of call-site enum-switch code. The registry also
-// carries per-entry traits — whether a factory needs a domain decomposition
-// or a trained DSS model, and whether the resulting operator is symmetric —
-// which is what SolverSession uses to decide how much setup to build and
-// which Krylov method is safe by default.
-//
-// Built-in names are registered on first use; callers may add their own
-// factories (e.g. a multigrid or a new learned preconditioner) under fresh
-// names and select them through the same `HybridConfig::preconditioner`
-// string without touching the solver core.
+// (a config string) instead of call-site enum-switch code. The traits —
+// whether a factory needs a domain decomposition or a trained DSS model
+// (and with it node geometry) — are what SolverSession uses to decide how
+// much setup to build. Whether the operator is symmetric, which picks the
+// default Krylov method, is asked of the built preconditioner itself.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,6 +17,7 @@
 #include <vector>
 
 #include "la/csr.hpp"
+#include "precond/gnn_options.hpp"
 #include "precond/preconditioner.hpp"
 
 // The GNN factories need a trained model; forward-declared so this header
@@ -48,93 +45,40 @@ struct PrecondContext {
   /// Overlapping decomposition — required when traits.needs_decomposition.
   /// Must outlive the returned preconditioner.
   const partition::Decomposition* dec = nullptr;
-  /// Node positions (one per row of A) — required when traits.needs_geometry.
-  /// Copied by the factories; need only live through create().
+  /// Node positions (one per row of A) — required when traits.needs_model.
+  /// Copied by the factories; need only live through the factory call.
   std::span<const mesh::Point2> coords;
   /// Message-graph pattern (mesh adjacency or matrix adjacency as a unit
-  /// CSR) — required when traits.needs_geometry. Copied by the factories.
+  /// CSR) — required when traits.needs_model. Copied by the factories.
   const la::CsrMatrix* edge_pattern = nullptr;
   /// Dirichlet flags (identity rows); empty means none.
   std::span<const std::uint8_t> dirichlet;
   /// Trained DSS model — required when traits.needs_model. Must outlive the
   /// returned preconditioner.
   const gnn::DssModel* model = nullptr;
-  /// GNN local-solver knobs (see GnnSubdomainSolver::Options).
-  int gnn_refinement_steps = 0;
-  bool gnn_normalize = true;
-  /// Refine-until-contractive setup with exact-Cholesky fallback for
-  /// non-contractive subdomains (the served-configuration convergence fix).
-  bool gnn_adaptive_refinement = false;
-  double gnn_contraction_target = 0.25;
-  int gnn_max_refinement_steps = 3;
-  /// With adaptive refinement, also fall back per subdomain when the flop
-  /// model predicts the GNN apply overwhelmingly costlier than exact sweeps.
-  bool gnn_cost_aware_fallback = true;
-  /// fp32 sweeps for the Cholesky fallbacks (mixed-precision apply; pair
-  /// with SolveOptions::precond_fp32 on the outer Krylov).
-  bool gnn_fp32_fallback = false;
+  /// GNN local-solver knobs, passed to GnnSubdomainSolver unchanged.
+  GnnOptions gnn;
   /// Seed for the coarse hierarchy's power-iteration damping estimates.
   std::uint64_t seed = 0;
 };
 
-/// Static facts about a registered preconditioner, consulted *before*
-/// construction so the session only builds the setup state a factory needs.
+/// Static facts about a table entry, consulted *before* construction so the
+/// session only builds the setup state a factory needs.
 struct PrecondTraits {
   bool needs_decomposition = false;
+  /// Needs a trained DSS model, and with it node coordinates plus a
+  /// message-graph pattern (the GNN entries).
   bool needs_model = false;
-  /// False for learned/nonlinear operators: plain PCG is then unsafe and the
-  /// session defaults to flexible PCG.
-  bool symmetric = true;
-  /// Consumes node coordinates + a message-graph pattern (the GNN entries).
-  bool needs_geometry = false;
-  /// Whether setup can run from a bare assembled operator
-  /// (SolverSession::setup(A, cfg)): everything the factory needs is either
-  /// in the matrix or synthesizable from its graph. Entries registered with
-  /// false are mesh-bound and the matrix-first path refuses them.
-  bool supports_algebraic = true;
 };
 
-using PrecondFactory =
-    std::function<std::unique_ptr<Preconditioner>(const PrecondContext&)>;
-
-class PrecondRegistry {
- public:
-  /// Process-wide registry, built-ins pre-registered.
-  static PrecondRegistry& instance();
-
-  /// Register a factory under `name`. Throws ContractError on duplicates.
-  void add(std::string name, PrecondTraits traits, PrecondFactory factory);
-  /// Register `alias` as another spelling of the existing `canonical` name.
-  void add_alias(std::string alias, std::string canonical);
-
-  bool contains(std::string_view name) const;
-  /// Resolve aliases to the canonical name. Throws ContractError listing the
-  /// known names when `name` is not registered.
-  const std::string& canonical(std::string_view name) const;
-  const PrecondTraits& traits(std::string_view name) const;
-  std::unique_ptr<Preconditioner> create(std::string_view name,
-                                         const PrecondContext& ctx) const;
-  /// Canonical names, sorted (aliases excluded).
-  std::vector<std::string> names() const;
-
- private:
-  PrecondRegistry();
-
-  struct Entry {
-    std::string name;
-    PrecondTraits traits;
-    PrecondFactory factory;
-  };
-  const Entry& find(std::string_view name) const;
-
-  std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, std::string>> aliases_;
-};
-
-/// Convenience wrappers over PrecondRegistry::instance().
+/// Build the preconditioner `name` from `ctx`. Throws ContractError listing
+/// the known names when `name` is not in the table, or a readable
+/// ContractError when `ctx` lacks something the entry needs.
 std::unique_ptr<Preconditioner> make_preconditioner(std::string_view name,
                                                     const PrecondContext& ctx);
+/// Traits of `name`; throws like make_preconditioner on unknown names.
 const PrecondTraits& preconditioner_traits(std::string_view name);
+/// The table's names, sorted.
 std::vector<std::string> preconditioner_names();
 
 }  // namespace ddmgnn::precond

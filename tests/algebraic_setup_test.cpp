@@ -1,5 +1,5 @@
-// Equivalence suite for the matrix-first setup path: for every registry
-// entry that supports the algebraic path, setup(mesh, prob, cfg) and
+// Equivalence suite for the matrix-first setup path: for every
+// preconditioner table entry, setup(mesh, prob, cfg) and
 // setup(prob.A, cfg, ...) must produce *identical* iteration counts and
 // matching solutions (tol 1e-12) on the same Poisson operator.
 //
@@ -128,11 +128,10 @@ TEST(AlgebraicSetup, KeepPatternAssemblyReproducesMeshAdjacency) {
 TEST(AlgebraicSetup, EveryAlgebraicCapableEntryMatchesMeshSetup) {
   auto [m, prob] = make_problem(/*keep_pattern=*/true);
   const gnn::DssModel model = tiny_model();
-  int covered = 0;
-  for (const std::string& name : precond::preconditioner_names()) {
+  const auto names = precond::preconditioner_names();
+  EXPECT_EQ(names.size(), 7u);  // every built-in takes the algebraic path
+  for (const std::string& name : names) {
     const auto& traits = precond::preconditioner_traits(name);
-    if (!traits.supports_algebraic) continue;
-    ++covered;
     const core::HybridConfig cfg =
         base_config(name, traits.needs_model ? &model : nullptr);
 
@@ -144,16 +143,12 @@ TEST(AlgebraicSetup, EveryAlgebraicCapableEntryMatchesMeshSetup) {
     // mesh object anywhere.
     core::AlgebraicOptions opts;
     opts.dirichlet = prob.dirichlet;
-    if (traits.needs_geometry) opts.coordinates = m.points();
+    if (traits.needs_model) opts.coordinates = m.points();
     core::SolverSession alg_session;
     alg_session.setup(prob.A, cfg, opts);
 
     expect_equal_solves(mesh_session, alg_session, prob, name);
   }
-  // All 7 built-ins support the algebraic path (>= keeps this robust to the
-  // mesh-bound entry another TEST in this binary registers — the registry is
-  // a process-wide singleton, so test order must not matter).
-  EXPECT_GE(covered, 7);
 }
 
 // Graph-free entries must agree even on the standard assembly that drops
@@ -203,37 +198,6 @@ TEST(AlgebraicSetup, SpectralCoordinatesAreDeterministicAndFinite) {
     spread = std::max(spread, std::abs(c1[i].x) + std::abs(c1[i].y));
   }
   EXPECT_GT(spread, 0.0);  // a non-degenerate layout, not all-zeros
-}
-
-// Mesh-bound registry entries (traits.supports_algebraic == false) must be
-// rejected by the matrix-first path with an actionable ContractError.
-TEST(AlgebraicSetup, MeshBoundEntryThrowsActionableError) {
-  auto& reg = precond::PrecondRegistry::instance();
-  const std::string name = "test-mesh-bound";
-  if (!reg.contains(name)) {
-    precond::PrecondTraits traits;
-    traits.supports_algebraic = false;
-    reg.add(name, traits, [](const precond::PrecondContext&) {
-      return std::unique_ptr<precond::Preconditioner>(
-          new precond::IdentityPreconditioner());
-    });
-  }
-  auto [m, prob] = make_problem(/*keep_pattern=*/false);
-  core::HybridConfig cfg;
-  cfg.preconditioner = name;
-  core::SolverSession session;
-  try {
-    session.setup(prob.A, cfg);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(name), std::string::npos) << what;
-    EXPECT_NE(what.find("setup(mesh, prob, cfg)"), std::string::npos) << what;
-  }
-  EXPECT_FALSE(session.ready());
-  // The mesh path still accepts the same entry.
-  session.setup(m, prob, cfg);
-  EXPECT_TRUE(session.ready());
 }
 
 TEST(AlgebraicSetup, RejectsMalformedInputs) {

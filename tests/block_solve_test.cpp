@@ -1,12 +1,13 @@
 // Tests of the batched multi-RHS solve engine: MultiVector kernels and the
 // fused SpMM, Preconditioner::apply_many column-equivalence for every
-// registry entry, block-PCG lockstep equivalence to per-RHS sequential PCG
+// preconditioner table entry, block-PCG lockstep equivalence to per-RHS sequential PCG
 // (including deflation on mixed-difficulty right-hand sides), the
 // shared-subspace block flexible PCG, and the Richardson damping fix.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -57,6 +58,20 @@ gnn::DssModel tiny_model() {
   mc.latent = 4;
   mc.hidden = 4;
   return gnn::DssModel(mc, 7);
+}
+
+/// The sequential reference for solve_many: one scalar solve per
+/// right-hand side, each from a zero guess.
+std::pair<std::vector<solver::SolveResult>, std::vector<std::vector<double>>>
+solve_each(const core::SolverSession& session,
+           const std::vector<std::vector<double>>& rhs) {
+  std::vector<solver::SolveResult> results;
+  std::vector<std::vector<double>> xs;
+  for (const auto& b : rhs) {
+    xs.emplace_back(b.size(), 0.0);
+    results.push_back(session.solve(b, xs.back()));
+  }
+  return {std::move(results), std::move(xs)};
 }
 
 TEST(MultiVector, FusedKernelsMatchScalarOps) {
@@ -181,11 +196,9 @@ TEST(BlockPcg, MatchesSequentialPcgPerColumnWithDeflation) {
   std::vector<std::vector<double>> xs_block;
   const auto block_results = block_session.solve_many(rhs, xs_block);
 
-  cfg.block_multi_rhs = false;
   core::SolverSession seq_session;
   seq_session.setup(m, prob, cfg);
-  std::vector<std::vector<double>> xs_seq;
-  const auto seq_results = seq_session.solve_many(rhs, xs_seq);
+  const auto [seq_results, xs_seq] = solve_each(seq_session, rhs);
 
   ASSERT_EQ(block_results.size(), 4u);
   for (std::size_t j = 0; j < 4; ++j) {
@@ -238,11 +251,9 @@ TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {
   std::vector<std::vector<double>> xs;
   const auto results = session.solve_many(rhs, xs);
 
-  cfg.block_multi_rhs = false;
   core::SolverSession seq_session;
   seq_session.setup(m, prob, cfg);
-  std::vector<std::vector<double>> xs_seq;
-  const auto seq_results = seq_session.solve_many(rhs, xs_seq);
+  const auto seq_results = solve_each(seq_session, rhs).first;
 
   int max_block = 0, max_seq = 0;
   for (std::size_t j = 0; j < rhs.size(); ++j) {

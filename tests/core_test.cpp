@@ -1,6 +1,6 @@
 // Integration tests of the paper's contribution: dataset harvesting, the
 // DDM-GNN preconditioner (normalization, scale-equivariance, refinement),
-// the hybrid-solver facade across all preconditioner kinds, and end-to-end
+// one-shot session solves across all preconditioner kinds, and end-to-end
 // PCG convergence with a freshly trained micro-model.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "core/dataset.hpp"
 #include "core/gnn_subdomain_solver.hpp"
-#include "core/hybrid_solver.hpp"
 #include "core/model_zoo.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
@@ -204,14 +203,12 @@ TEST(DdmGnn, BatchedSolveManyConvergesEveryColumn) {
     max_block = std::max(max_block, results[j].iterations);
   }
 
-  core::HybridConfig seq_cfg = cfg;
-  seq_cfg.block_multi_rhs = false;
   core::SolverSession seq_session;
-  seq_session.setup(m, prob, seq_cfg);
-  std::vector<std::vector<double>> xs_seq;
-  const auto seq_results = seq_session.solve_many(rhs, xs_seq);
+  seq_session.setup(m, prob, cfg);
   int max_seq = 0;
-  for (const auto& r : seq_results) {
+  for (const auto& b : rhs) {
+    std::vector<double> x(b.size(), 0.0);
+    const auto r = seq_session.solve(b, x);
     EXPECT_TRUE(r.converged);
     max_seq = std::max(max_seq, r.iterations);
   }
@@ -298,11 +295,9 @@ TEST(DdmGnn, ZeroResidualYieldsZeroCorrection) {
   }
 }
 
-// The deprecated one-shot facade must keep working as a wrapper over
-// SolverSession — this test exercises it across every registered name.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(HybridFacade, AllPreconditionersSolveTheSameProblem) {
+// One setup + one solve through every table name reaches the direct
+// solution.
+TEST(HybridSession, AllPreconditionersSolveTheSameProblem) {
   const auto& env = TrainedModelEnv::instance();
   auto [m, prob] = fresh_problem(1007, 1500);
   la::SkylineCholesky direct(prob.A);
@@ -314,14 +309,16 @@ TEST(HybridFacade, AllPreconditionersSolveTheSameProblem) {
     cfg.subdomain_target_nodes = 300;
     cfg.rel_tol = 1e-8;
     cfg.max_iterations = 2000;
-    const auto rep = core::solve_poisson(m, prob, cfg);
-    EXPECT_TRUE(rep.result.converged) << name;
-    EXPECT_LT(la::dist2(rep.solution, x_ref) / la::norm2(x_ref), 1e-5) << name;
+    core::SolverSession session;
+    session.setup(m, prob, cfg);
+    std::vector<double> x(prob.b.size(), 0.0);
+    const auto res = session.solve(prob.b, x);
+    EXPECT_TRUE(res.converged) << name;
+    EXPECT_LT(la::dist2(x, x_ref) / la::norm2(x_ref), 1e-5) << name;
   }
 }
-#pragma GCC diagnostic pop
 
-TEST(HybridFacade, HistoryTracksMonotoneDecreaseForDdmLu) {
+TEST(HybridSession, HistoryTracksMonotoneDecreaseForDdmLu) {
   auto [m, prob] = fresh_problem(1009, 2000);
   core::HybridConfig cfg;
   cfg.preconditioner = "ddm-lu";

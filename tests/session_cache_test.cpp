@@ -1,16 +1,19 @@
 // SessionCache behavior: hits return the *same* prepared session (setup not
 // re-paid), distinct operators and configs miss, LRU eviction respects the
 // byte budget, evicted-but-held sessions stay usable (aliased ownership),
-// and a cached session still passes the solve_many block-vs-sequential
-// equivalence.
+// every HybridConfig field is part of the key, and a cached session still
+// passes the solve_many block-vs-sequential equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session_cache.hpp"
 #include "fem/poisson.hpp"
+#include "gnn/dss_model.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
 
@@ -102,6 +105,74 @@ TEST(SessionCache, DistinctOperatorsAndConfigsMiss) {
   (void)cache.get_or_setup(a0, cfg);
   (void)cache.get_or_setup(a1, cfg);
   EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+// The key is the whole HybridConfig: a config differing from a cached one in
+// any single field is a miss (a fresh session), an identical copy a hit.
+TEST(SessionCache, KeyCoversEveryConfigField) {
+  core::SessionCache cache(1u << 30);
+  const la::CsrMatrix A = grid_laplacian(12, 0.0);
+  core::HybridConfig base;
+  base.preconditioner = "jacobi";  // cheap setup; ignores the GNN fields
+  // Binding every field pins the field count: a field added to HybridConfig
+  // breaks this line until it gets a mutation below.
+  [[maybe_unused]] const auto& [preconditioner, method, subdomain_target_nodes,
+                                overlap, rel_tol, max_iterations,
+                                gmres_restart, model, gnn_refinement_steps,
+                                gnn_normalize, gnn_adaptive_refinement,
+                                gnn_cost_aware_fallback, precond_fp32, seed,
+                                track_history] = base;
+  const gnn::DssModel dss(gnn::DssConfig{}, 1);
+  std::vector<std::pair<std::string, core::HybridConfig>> variants;
+  const auto vary = [&](const char* field, auto mutate) {
+    core::HybridConfig cfg = base;
+    mutate(cfg);
+    variants.emplace_back(field, cfg);
+  };
+  vary("preconditioner", [](auto& c) { c.preconditioner = "none"; });
+  vary("method", [](auto& c) { c.method = solver::KrylovMethod::kFpcg; });
+  vary("subdomain_target_nodes",
+       [](auto& c) { c.subdomain_target_nodes = 150; });
+  vary("overlap", [](auto& c) { c.overlap = 1; });
+  vary("rel_tol", [](auto& c) { c.rel_tol = 1e-5; });
+  vary("max_iterations", [](auto& c) { c.max_iterations = 123; });
+  vary("gmres_restart", [](auto& c) { c.gmres_restart = 20; });
+  vary("model", [&](auto& c) { c.model = &dss; });
+  vary("gnn_refinement_steps", [](auto& c) { c.gnn_refinement_steps = 1; });
+  vary("gnn_normalize", [](auto& c) { c.gnn_normalize = false; });
+  vary("gnn_adaptive_refinement",
+       [](auto& c) { c.gnn_adaptive_refinement = true; });
+  vary("gnn_cost_aware_fallback",
+       [](auto& c) { c.gnn_cost_aware_fallback = false; });
+  vary("precond_fp32", [](auto& c) { c.precond_fp32 = true; });
+  vary("seed", [](auto& c) { c.seed = 7; });
+  vary("track_history", [](auto& c) { c.track_history = false; });
+  ASSERT_EQ(variants.size(), 15u);
+
+  const auto base_session = cache.get_or_setup(A, base);
+  std::vector<const core::SolverSession*> sessions;
+  for (const auto& [field, cfg] : variants) {
+    ASSERT_FALSE(cfg == base) << field;
+    const std::size_t misses = cache.stats().misses;
+    const auto s = cache.get_or_setup(A, cfg);
+    EXPECT_EQ(cache.stats().misses, misses + 1) << field;
+    EXPECT_NE(s.get(), base_session.get()) << field;
+    EXPECT_EQ(std::count(sessions.begin(), sessions.end(), s.get()), 0)
+        << field;
+    sessions.push_back(s.get());
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  // Identical copies hit their own entries.
+  const core::HybridConfig copy = base;
+  EXPECT_EQ(cache.get_or_setup(A, copy).get(), base_session.get());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const core::HybridConfig cfg = variants[i].second;
+    EXPECT_EQ(cache.get_or_setup(A, cfg).get(), sessions[i])
+        << variants[i].first;
+  }
+  EXPECT_EQ(cache.stats().hits, 1u + variants.size());
+  EXPECT_EQ(cache.stats().misses, 1u + variants.size());
 }
 
 TEST(SessionCache, LruEvictsUnderByteBudgetAndHeldSessionsSurvive) {
@@ -256,10 +327,12 @@ TEST(SessionCache, CachedSessionPassesBlockVsSequentialEquivalence) {
     }
   }
 
+  std::vector<solver::SolveResult> res_seq;
   std::vector<std::vector<double>> xs_seq, xs_blk;
-  session->set_block_multi_rhs(false);
-  const auto res_seq = session->solve_many(rhs, xs_seq);
-  session->set_block_multi_rhs(true);
+  for (const auto& b : rhs) {
+    xs_seq.emplace_back(b.size(), 0.0);
+    res_seq.push_back(session->solve(b, xs_seq.back()));
+  }
   const auto res_blk = session->solve_many(rhs, xs_blk);
   ASSERT_EQ(res_seq.size(), rhs.size());
   ASSERT_EQ(res_blk.size(), rhs.size());
