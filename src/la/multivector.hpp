@@ -90,4 +90,24 @@ void xpay_columns(std::span<const double> a, const MultiVector& x,
 /// dst = src (shapes must match).
 void copy_columns(const MultiVector& src, MultiVector& dst);
 
+// ---- Blocked panel kernels (the direction window of block flexible PCG) --
+// A panel is k contiguous columns of length n, column-major with leading
+// dimension n (column i at a + i·n). The thin side — at most a few dozen
+// right-hand-side columns — is passed as one pointer per column, so a kernel
+// can read or write columns that are not adjacent (the active columns of an
+// iterate block). Both kernels stream each panel column once per pass in
+// row chunks of fixed size and give the same bits at every thread count.
+
+/// C = Aᵀ·B for the n×k panel `a` and the columns `b` (each of length n):
+/// C(i, j) = <a_i, b_j>, stored k×s column-major (c[i + j·k]). Each chunk's
+/// partial dot is an omp-simd reduction; partials are added in chunk order.
+void gemm_tn(Index n, Index k, const double* a,
+             std::span<const double* const> b, std::span<double> c);
+
+/// y_j += alpha · A·C(:, j) for the n×k panel `a`, the k×s column-major C
+/// and the columns `y` (each of length n). Per entry the k terms are added
+/// in panel order, the same sequence as a chain of axpys.
+void gemm_nn(Index n, Index k, double alpha, const double* a,
+             std::span<const double> c, std::span<double* const> y);
+
 }  // namespace ddmgnn::la

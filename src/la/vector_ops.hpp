@@ -3,6 +3,7 @@
 // (Algorithm 1 of the paper), so they are kept allocation-free.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -14,18 +15,33 @@ namespace ddmgnn::la {
 
 inline constexpr long kParallelThreshold = 8192;
 
-/// <x, y>
+/// <x, y>. Below kParallelThreshold one serial sum. Above it, fixed-size
+/// chunks (boundaries set by n alone) are summed serially, possibly on
+/// different threads, and the partial sums are added in chunk order — the
+/// same bits at every thread count.
 inline double dot(std::span<const double> x, std::span<const double> y) {
   DDMGNN_CHECK(x.size() == y.size(), "dot: size mismatch");
   const long n = static_cast<long>(x.size());
   double acc = 0.0;
-  if (n < kParallelThreshold || num_threads() == 1) {
+  if (n < kParallelThreshold) {
     for (long i = 0; i < n; ++i) acc += x[i] * y[i];
     return acc;
   }
-#pragma omp parallel for schedule(static) reduction(+ : acc) \
-    num_threads(num_threads())
-  for (long i = 0; i < n; ++i) acc += x[i] * y[i];
+  constexpr long kMinChunk = 1024;  // small enough to balance four threads
+  constexpr long kMaxChunks = 256;
+  const long chunk = std::max(kMinChunk, (n + kMaxChunks - 1) / kMaxChunks);
+  const long nchunks = (n + chunk - 1) / chunk;
+  double partial[kMaxChunks] = {};
+  parallel_for(
+      nchunks,
+      [&](long c) {
+        const long end = std::min(n, (c + 1) * chunk);
+        double sum = 0.0;
+        for (long i = c * chunk; i < end; ++i) sum += x[i] * y[i];
+        partial[c] = sum;
+      },
+      /*grain=*/2);
+  for (long c = 0; c < nchunks; ++c) acc += partial[c];
   return acc;
 }
 

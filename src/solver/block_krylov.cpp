@@ -1,7 +1,10 @@
 #include "solver/block_krylov.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
+#include <new>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -14,7 +17,6 @@ namespace ddmgnn::solver {
 namespace {
 
 using la::axpy;
-using la::dot;
 using la::Index;
 using la::MultiVector;
 using la::norm2;
@@ -171,6 +173,104 @@ void check_block_dims(const CsrMatrix& a, const MultiVector& b,
                "block krylov: dimension mismatch");
 }
 
+/// <x, y> through the blocked panel kernel: simd partial sums instead of one
+/// serial add chain (block flexible PCG's vector work).
+double block_dot(std::span<const double> x, std::span<const double> y) {
+  double out = 0.0;
+  const double* yc[] = {y.data()};
+  la::gemm_tn(static_cast<Index>(x.size()), 1, x.data(), yc,
+              std::span(&out, 1));
+  return out;
+}
+
+double block_norm(std::span<const double> x) {
+  return std::sqrt(block_dot(x, x));
+}
+
+/// Column pointers of `v` for the panel kernels.
+void columns_of(MultiVector& v, std::vector<double*>& out) {
+  out.resize(v.cols());
+  for (Index j = 0; j < v.cols(); ++j) out[j] = v.col(j).data();
+}
+
+/// Page-backed storage mapped straight from the kernel: pages are
+/// zero-filled on first touch, so a panel costs only the columns a solve
+/// fills, and are returned on destruction. It bypasses malloc on purpose:
+/// freeing a multi-megabyte malloc chunk after every solve raises glibc's
+/// dynamic mmap threshold, after which the solver's mid-size buffers stay in
+/// the retained heap (+2 MB peak RSS measured on the served 2.2k-node
+/// service workload).
+class MappedPanel {
+ public:
+  explicit MappedPanel(std::size_t doubles)
+      : bytes_(std::max<std::size_t>(1, doubles * sizeof(double))) {
+    void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    data_ = static_cast<double*>(p);
+  }
+  ~MappedPanel() { munmap(data_, bytes_); }
+  MappedPanel(const MappedPanel&) = delete;
+  MappedPanel& operator=(const MappedPanel&) = delete;
+
+  double* data() const { return data_; }
+
+ private:
+  std::size_t bytes_;
+  double* data_ = nullptr;
+};
+
+/// The direction window of block flexible PCG: A-orthonormal directions P
+/// and their images Q = A P as two contiguous n×cap column-major panels,
+/// oldest block first. A new block is built in place past size() and then
+/// appended; eviction drops the oldest blocks and shifts the survivors to
+/// the front, so every pass reads one contiguous panel.
+class DirectionWindow {
+ public:
+  DirectionWindow(Index n, Index cap)
+      : n_(n),
+        p_(static_cast<std::size_t>(n) * cap),
+        q_(static_cast<std::size_t>(n) * cap) {}
+
+  Index size() const { return stored_; }
+  const double* p() const { return p_.data(); }
+  const double* q() const { return q_.data(); }
+  double* p_col(Index j) {
+    return p_.data() + static_cast<std::size_t>(j) * n_;
+  }
+  double* q_col(Index j) {
+    return q_.data() + static_cast<std::size_t>(j) * n_;
+  }
+
+  /// Commit the `cols` columns built past size() as the newest block.
+  void append(Index cols) {
+    blocks_.push_back(cols);
+    stored_ += cols;
+  }
+
+  /// Drop the oldest blocks while more than `max_stored` columns are held,
+  /// always keeping the newest block.
+  void evict_to(Index max_stored) {
+    Index drop = 0;
+    std::size_t nblocks = 0;
+    while (stored_ - drop > max_stored && blocks_.size() - nblocks > 1) {
+      drop += blocks_[nblocks++];
+    }
+    if (drop == 0) return;
+    blocks_.erase(blocks_.begin(), blocks_.begin() + nblocks);
+    stored_ -= drop;
+    const std::size_t count = static_cast<std::size_t>(stored_) * n_;
+    std::copy(p_col(drop), p_col(drop) + count, p_.data());
+    std::copy(q_col(drop), q_col(drop) + count, q_.data());
+  }
+
+ private:
+  Index n_;
+  Index stored_ = 0;
+  std::vector<Index> blocks_;  // column count per stored block, oldest first
+  MappedPanel p_, q_;
+};
+
 std::vector<SolveResult> block_pcg_impl(const CsrMatrix& a,
                                         const precond::Preconditioner& m,
                                         const MultiVector& b, MultiVector& x,
@@ -271,10 +371,11 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
   // newest last). With a nonlinear preconditioner the short CG recurrence
   // loses conjugacy, so new directions are orthogonalized against — and
   // every column's residual re-projected over — the whole window; that is
-  // pure BLAS-1 work, negligible next to one DSS inference, and it is what
-  // lets the shared search space actually pay off for DDM-GNN.
-  std::vector<MultiVector> pblocks, qblocks;
-  Index stored = 0;  // total direction columns across the window
+  // what lets the shared search space actually pay off for DDM-GNN. When
+  // the preconditioner is cheap (fp32 Cholesky local solves) this window
+  // work, not the apply, sets the iteration time, so it runs as blocked
+  // panel kernels that read each stored direction once per pass.
+  //
   // Eviction cap (oldest first): generous — the window is what converts the
   // batched inference into an iteration-count win — but bounded to ~256 MB
   // of direction storage on huge problems (each stored direction keeps both
@@ -283,9 +384,12 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
       2 * b.cols(), (256ll << 20) / (16ll * n)));
   const Index max_stored =
       std::min(std::max<Index>(256, 16 * b.cols()), mem_cap);
+  DirectionWindow window(n, max_stored + b.cols());
 
-  MultiVector z;
+  MultiVector z, az;
   MultiVector r32;  // fp32-rounded residual block (opts.precond_fp32)
+  std::vector<double> coef, znorm;
+  std::vector<double*> zcols, rcols, xcols;
   // Stagnation safeguard: if no active column improves its best residual by
   // the slack factor over a full window, stop and let the per-column
   // fallback finish the stragglers. Columns active at such a structural
@@ -305,74 +409,72 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
     z.resize(n, na);
     timed_apply_many(m, r, z, ws.get(), cols, opts, r32);
 
-    // Build the new direction block: conjugate the preconditioned residuals
-    // against every stored block (coef = Qᵀ d, valid because Pᵀ A P = I per
-    // stored column), then A-orthonormalize the candidates among themselves
-    // (modified Gram-Schmidt in the A-inner product), dropping columns that
-    // fall into the span of the ones already kept — that is the
-    // rank-deficiency / duplicate-RHS handling.
-    MultiVector dnew(n, na), qnew(n, na);
+    // Build the new direction block straight into the window's tail:
+    // conjugate the preconditioned residuals against the whole window in
+    // one pass (C = Qᵀ Z, Z -= P C; valid because Pᵀ A P = I), take their
+    // images with one SpMM, then A-orthonormalize the candidates among
+    // themselves (modified Gram-Schmidt in the A-inner product, images
+    // updated by the same combinations), dropping columns that fall into
+    // the span of the ones already kept — that is the rank-deficiency /
+    // duplicate-RHS handling.
     Index kept = 0;
-    for (Index c = 0; c < na; ++c) {
-      auto d = dnew.col(kept);
-      la::copy(z.col(c), d);
-      const double norm_before = norm2(d);
-      if (norm_before == 0.0) continue;
-      for (std::size_t blk = 0; blk < pblocks.size(); ++blk) {
-        for (Index k = 0; k < pblocks[blk].cols(); ++k) {
-          axpy(-dot(qblocks[blk].col(k), d), pblocks[blk].col(k), d);
+    {
+      obs::Span orth_span("krylov.orthogonalize");
+      znorm.resize(na);
+      for (Index c = 0; c < na; ++c) znorm[c] = block_norm(z.col(c));
+      columns_of(z, zcols);
+      const Index stored = window.size();
+      coef.resize(static_cast<std::size_t>(stored) * na);
+      la::gemm_tn(n, stored, window.q(), zcols, coef);
+      la::gemm_nn(n, stored, -1.0, window.p(), coef, zcols);
+      a.apply_many(z, az);
+      double* const tail_p = window.p_col(stored);
+      double* const tail_q = window.q_col(stored);
+      for (Index c = 0; c < na; ++c) {
+        if (znorm[c] == 0.0) continue;
+        double* d = window.p_col(stored + kept);
+        double* qd = window.q_col(stored + kept);
+        std::copy_n(z.col(c).data(), n, d);
+        std::copy_n(az.col(c).data(), n, qd);
+        if (kept > 0) {
+          coef.resize(kept);
+          la::gemm_tn(n, kept, tail_q, std::span(&d, 1), coef);
+          la::gemm_nn(n, kept, -1.0, tail_p, coef, std::span(&d, 1));
+          la::gemm_nn(n, kept, -1.0, tail_q, coef, std::span(&qd, 1));
         }
+        const std::span<double> dc(d, n), qc(qd, n);
+        if (block_norm(dc) <= 1e-10 * znorm[c]) continue;  // already spanned
+        const double a_norm2 = block_dot(dc, qc);
+        if (!(a_norm2 > 0.0)) continue;  // numerically indefinite direction
+        const double inv = 1.0 / std::sqrt(a_norm2);
+        la::scale(inv, dc);
+        la::scale(inv, qc);
+        ++kept;
       }
-      for (Index k = 0; k < kept; ++k) {
-        axpy(-dot(qnew.col(k), d), dnew.col(k), d);
-      }
-      if (norm2(d) <= 1e-10 * norm_before) continue;  // already spanned
-      auto qd = qnew.col(kept);
-      a.multiply(d, qd);
-      const double a_norm2 = dot(d, qd);
-      if (!(a_norm2 > 0.0)) continue;  // numerically indefinite direction
-      const double inv = 1.0 / std::sqrt(a_norm2);
-      la::scale(inv, d);
-      la::scale(inv, qd);
-      ++kept;
     }
     if (kept == 0) {
       // No usable directions — progress stopped; fall back below.
       for (const Index j : cols.act) block_stagnated[j] = 1;
       break;
     }
-    if (kept < na) {
-      std::vector<Index> head(kept);
-      for (Index k = 0; k < kept; ++k) head[k] = k;
-      dnew.keep_columns(head);
-      qnew.keep_columns(head);
-    }
-    pblocks.push_back(std::move(dnew));
-    qblocks.push_back(std::move(qnew));
-    stored += kept;
-    while (stored > max_stored && pblocks.size() > 1) {
-      stored -= pblocks.front().cols();
-      pblocks.erase(pblocks.begin());
-      qblocks.erase(qblocks.begin());
-    }
+    window.append(kept);
+    window.evict_to(max_stored);
 
-    // Galerkin update over the WHOLE window for every column: for each
-    // stored direction p (A-orthonormal), x += p (pᵀ r), r -= (A p)(pᵀ r).
-    // Old-block coefficients are exactly zero for a fixed SPD M (classic
-    // conjugacy) but recover what the nonlinear GNN leaks.
-    for (Index c = 0; c < na; ++c) {
-      auto xc = x.col(cols.act[c]);
-      auto rc = r.col(c);
-      for (std::size_t blk = 0; blk < pblocks.size(); ++blk) {
-        const MultiVector& pb = pblocks[blk];
-        const MultiVector& qb = qblocks[blk];
-        for (Index k = 0; k < pb.cols(); ++k) {
-          const double ck = dot(pb.col(k), rc);
-          axpy(ck, pb.col(k), xc);
-          axpy(-ck, qb.col(k), rc);
-        }
-      }
-      cols.rnorm[c] = norm2(rc);
+    // Galerkin update over the WHOLE window for every column: C = Pᵀ R,
+    // then x += P C and r -= (A P) C (P is A-orthonormal). Old-block
+    // coefficients are exactly zero for a fixed SPD M (classic conjugacy)
+    // but recover what the nonlinear GNN leaks.
+    {
+      obs::Span reproject_span("krylov.reproject");
+      columns_of(r, rcols);
+      xcols.resize(na);
+      for (Index c = 0; c < na; ++c) xcols[c] = x.col(cols.act[c]).data();
+      const Index stored = window.size();
+      coef.resize(static_cast<std::size_t>(stored) * na);
+      la::gemm_tn(n, stored, window.p(), rcols, coef);
+      la::gemm_nn(n, stored, 1.0, window.p(), coef, xcols);
+      la::gemm_nn(n, stored, -1.0, window.q(), coef, rcols);
+      for (Index c = 0; c < na; ++c) cols.rnorm[c] = block_norm(r.col(c));
     }
     ++it;
     cols.push_history();

@@ -269,6 +269,44 @@ TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {
   EXPECT_LE(max_block, max_seq + 1);
 }
 
+TEST(BlockFpcg, WindowEvictionKeepsEveryColumnConverged) {
+  // Jacobi keeps the iteration count high. The two live columns add two
+  // directions per iteration, so past iteration 128 the window exceeds its
+  // 256-column cap and drops its oldest blocks while the solve goes on.
+  auto [m, prob] = small_problem(31, 4000);
+  core::HybridConfig cfg;
+  cfg.preconditioner = "jacobi";
+  cfg.method = solver::KrylovMethod::kFpcg;
+  cfg.rel_tol = 1e-10;
+  cfg.track_history = false;
+
+  std::vector<std::vector<double>> rhs;
+  rhs.push_back(random_vector(prob.b.size(), 301));
+  rhs.push_back(random_vector(prob.b.size(), 302));
+  // An all-zero right-hand side: its stop threshold is rel_tol·1, so it
+  // leaves the block at iteration 0 with x = 0 and never reaches the window.
+  rhs.emplace_back(prob.b.size(), 0.0);
+
+  core::SolverSession session;
+  session.setup(m, prob, cfg);
+  std::vector<std::vector<double>> xs;
+  const auto results = session.solve_many(rhs, xs);
+  ASSERT_EQ(results.size(), rhs.size());
+
+  int max_iterations = 0;
+  for (std::size_t j = 0; j < rhs.size(); ++j) {
+    EXPECT_TRUE(results[j].converged) << j;
+    // Converged inside the block solve, not through the scalar fallback.
+    EXPECT_EQ(results[j].method, "block-fpcg+jacobi") << j;
+    EXPECT_LE(fem::relative_residual(prob.A, rhs[j], xs[j]), cfg.rel_tol)
+        << j;
+    max_iterations = std::max(max_iterations, results[j].iterations);
+  }
+  EXPECT_GT(max_iterations, 140);  // well past the 256-direction cap
+  EXPECT_EQ(results[2].iterations, 0);
+  for (const double v : xs[2]) EXPECT_EQ(v, 0.0);
+}
+
 TEST(Richardson, PowerIterationDampingTamesDivergence) {
   auto [m, prob] = small_problem(23, 1000);
   core::HybridConfig cfg;

@@ -1,14 +1,18 @@
 // Unit + property tests for the linear-algebra substrate: CSR assembly and
-// algebra, dense factorizations, RCM, skyline Cholesky, IC(0).
+// algebra, dense factorizations, RCM, skyline Cholesky, IC(0), the blocked
+// panel kernels, and thread-count independence of the reductions.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/ic0.hpp"
+#include "la/multivector.hpp"
 #include "la/rcm.hpp"
 #include "la/skyline_cholesky.hpp"
 #include "la/spgemm.hpp"
@@ -72,6 +76,119 @@ TEST(VectorOps, ParallelMatchesSerialOnLargeVectors) {
   double serial = 0.0;
   for (Index i = 0; i < n; ++i) serial += x[i] * y[i];
   EXPECT_NEAR(la::dot(x, y), serial, 1e-9 * std::abs(serial) + 1e-12);
+}
+
+TEST(VectorOps, DotBitwiseAcrossRepeatsAndThreadCounts) {
+  // Above kParallelThreshold the sum runs in fixed chunks whose partial
+  // sums combine in chunk order: no dependence on scheduling or team size.
+  const Index n = 100000;
+  const auto x = random_vector(n, 3);
+  const auto y = random_vector(n, 4);
+  set_num_threads(4);
+  const double first = la::dot(x, y);
+  for (int rep = 0; rep < 20; ++rep) EXPECT_EQ(la::dot(x, y), first) << rep;
+  set_num_threads(1);
+  EXPECT_EQ(la::dot(x, y), first);
+  set_num_threads(0);
+}
+
+/// A column-major n×k panel of random entries.
+std::vector<double> random_panel(Index n, Index k, std::uint64_t seed) {
+  return random_vector(n * k, seed);
+}
+
+struct PanelShape {
+  Index n, k, s;
+};
+
+/// gemm_tn and gemm_nn against naive triple loops: C(i,j) = <a_i, b_j>
+/// summed serially, and y_j += alpha·C(kk,j)·a_kk one panel column at a time.
+void check_panel_kernels(const PanelShape& sh) {
+  const auto [n, k, s] = sh;
+  const auto a = random_panel(n, k, 11 + n + k);
+  std::vector<std::vector<double>> b(s), y(s);
+  std::vector<const double*> bp(s);
+  std::vector<double*> yp(s);
+  for (Index j = 0; j < s; ++j) {
+    b[j] = random_vector(n, 40 + j);
+    y[j] = random_vector(n, 80 + j);
+    bp[j] = b[j].data();
+    yp[j] = y[j].data();
+  }
+  std::vector<double> c(static_cast<std::size_t>(k) * s, -1.0);
+  la::gemm_tn(n, k, a.data(), bp, c);
+  for (Index j = 0; j < s; ++j) {
+    for (Index i = 0; i < k; ++i) {
+      double ref = 0.0, mag = 0.0;
+      for (Index r = 0; r < n; ++r) {
+        ref += a[i * n + r] * b[j][r];
+        mag += std::abs(a[i * n + r] * b[j][r]);
+      }
+      EXPECT_NEAR(c[i + j * k], ref, 1e-14 * mag + 1e-300)
+          << "n=" << n << " k=" << k << " s=" << s << " (" << i << "," << j
+          << ")";
+    }
+  }
+
+  const double alpha = -0.75;
+  auto y_ref = y;
+  for (Index j = 0; j < s; ++j) {
+    for (Index kk = 0; kk < k; ++kk) {
+      const double e = alpha * c[kk + j * k];
+      for (Index r = 0; r < n; ++r) y_ref[j][r] += e * a[kk * n + r];
+    }
+  }
+  la::gemm_nn(n, k, alpha, a.data(), c, yp);
+  for (Index j = 0; j < s; ++j) {
+    for (Index r = 0; r < n; ++r) {
+      double mag = std::abs(y_ref[j][r]);
+      for (Index kk = 0; kk < k; ++kk) {
+        mag += std::abs(alpha * c[kk + j * k] * a[kk * n + r]);
+      }
+      ASSERT_NEAR(y[j][r], y_ref[j][r], 1e-14 * mag)
+          << "n=" << n << " k=" << k << " s=" << s << " row " << r;
+    }
+  }
+}
+
+TEST(PanelKernels, MatchNaiveLoopsOnRaggedShapes) {
+  // Row counts off the 256-row chunk, k and s off the 4-wide tiles, s = 1,
+  // k = 0 and tiny n; the large shapes also cross the parallel threshold.
+  for (const PanelShape& sh :
+       {PanelShape{1000, 37, 7}, PanelShape{257, 5, 1}, PanelShape{5003, 13, 6},
+        PanelShape{300, 0, 3}, PanelShape{256, 8, 4}, PanelShape{9, 3, 2},
+        PanelShape{20011, 9, 5}, PanelShape{777, 1, 1}}) {
+    check_panel_kernels(sh);
+  }
+}
+
+TEST(PanelKernels, BitwiseEqualAcrossThreadCounts) {
+  const Index n = 20017, k = 45, s = 11;  // ~10M multiply-adds: parallel
+  const auto a = random_panel(n, k, 5);
+  std::vector<std::vector<double>> b(s);
+  std::vector<const double*> bp(s);
+  for (Index j = 0; j < s; ++j) {
+    b[j] = random_vector(n, 200 + j);
+    bp[j] = b[j].data();
+  }
+  std::vector<double> c_first, y_first;
+  for (const int threads : {1, 2, 4}) {
+    set_num_threads(threads);
+    std::vector<double> c(static_cast<std::size_t>(k) * s);
+    la::gemm_tn(n, k, a.data(), bp, c);
+    std::vector<double> y = random_vector(n * s, 9);
+    std::vector<double*> yp(s);
+    for (Index j = 0; j < s; ++j) yp[j] = y.data() + j * n;
+    la::gemm_nn(n, k, -1.0, a.data(), c, yp);
+    if (threads == 1) {
+      c_first = c;
+      y_first = y;
+      continue;
+    }
+    EXPECT_EQ(c, c_first) << threads << " threads";
+    EXPECT_EQ(y, y_first) << threads << " threads";
+  }
+  set_num_threads(0);
 }
 
 TEST(Csr, BuilderMergesDuplicatesAndSortsColumns) {

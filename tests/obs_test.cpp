@@ -1,10 +1,11 @@
 // Telemetry-layer tests: exactness of the lock-free metrics primitives under
 // concurrency, histogram quantiles on known distributions, span
-// nesting/ordering through the Chrome trace writer, the disabled-mode
-// overhead guard, convergence forensics (classify_failure), and the
-// cross-layer invariant that SolveResult::precond_seconds reconciles with
-// the precond.apply / precond.apply_many span durations on the scalar,
-// block, and stationary driver paths.
+// nesting/ordering through the Chrome trace writer and under every block-FPCG
+// iteration, the disabled-mode overhead guard, convergence forensics
+// (classify_failure), and the cross-layer invariant that
+// SolveResult::precond_seconds reconciles with the precond.apply /
+// precond.apply_many span durations on the scalar, block, and stationary
+// driver paths.
 //
 // The obs flags and registry are process-global; every test that flips a
 // flag restores the all-off default before returning (gtest runs tests
@@ -221,6 +222,55 @@ TEST(ObsTrace, SpanNestingOrderingRoundTrip) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(json.find("\"answer\": 42"), std::string::npos);
+}
+
+TEST(ObsTrace, BlockFpcgWindowSpansNestUnderEveryIteration) {
+  ObsFlagGuard guard;
+  auto [m, prob] = small_problem(24);
+  core::HybridConfig cfg;
+  cfg.preconditioner = "ddm-lu";
+  cfg.method = solver::KrylovMethod::kFpcg;  // the block flexible path
+  cfg.rel_tol = 1e-8;
+  core::SolverSession session;
+  session.setup(m, prob, cfg);
+  std::vector<std::vector<double>> rhs;
+  for (int j = 0; j < 4; ++j) {
+    rhs.push_back(random_vector(prob.b.size(), 60 + j));
+  }
+
+  obs::TraceRecorder::instance().clear();
+  obs::set_trace_enabled(true);
+  std::vector<std::vector<double>> xs;
+  const auto results = session.solve_many(rhs, xs);
+  obs::set_trace_enabled(false);
+  for (const auto& res : results) EXPECT_TRUE(res.converged);
+
+  const auto events = obs::TraceRecorder::instance().snapshot();
+  std::vector<const obs::TraceEvent*> iters, orth, reproject;
+  for (const auto& e : events) {
+    const std::string name = e.name;
+    if (name == "block-fpcg.iter") iters.push_back(&e);
+    if (name == "krylov.orthogonalize") orth.push_back(&e);
+    if (name == "krylov.reproject") reproject.push_back(&e);
+  }
+  ASSERT_FALSE(iters.empty());
+  EXPECT_EQ(orth.size(), iters.size());
+  EXPECT_EQ(reproject.size(), iters.size());
+  auto nested_count = [](const obs::TraceEvent& parent,
+                         const std::vector<const obs::TraceEvent*>& kids) {
+    int count = 0;
+    for (const obs::TraceEvent* k : kids) {
+      if (k->tid == parent.tid && k->ts_ns >= parent.ts_ns &&
+          k->ts_ns + k->dur_ns <= parent.ts_ns + parent.dur_ns) {
+        ++count;
+      }
+    }
+    return count;
+  };
+  for (const obs::TraceEvent* it : iters) {
+    EXPECT_EQ(nested_count(*it, orth), 1);
+    EXPECT_EQ(nested_count(*it, reproject), 1);
+  }
 }
 
 TEST(ObsTrace, DisabledModeOverheadGuard) {
