@@ -3,9 +3,8 @@
 // (scalar reference and fused simd kernel), single-subdomain DSS inference
 // (factorized and reference paths), and one full ASM preconditioner
 // application. These back the T / T_lu / T_gnn decomposition with
-// kernel-level numbers. Uses google-benchmark when available and the
-// bench_shim fallback timing loop otherwise.
-#include "bench_shim.hpp"
+// kernel-level numbers (google-benchmark).
+#include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <map>

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
+#include <iterator>
+#include <type_traits>
 
-#include "common/error.hpp"
 #include "obs/flags.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,96 +13,91 @@ namespace ddmgnn::core {
 
 namespace {
 
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-template <typename T>
-std::uint64_t hash_span(std::span<const T> s, std::uint64_t h) {
-  return fnv1a(s.data(), s.size() * sizeof(T), h);
-}
-
-template <typename T>
-std::uint64_t hash_pod(const T& v, std::uint64_t h) {
-  return fnv1a(&v, sizeof(T), h);
-}
-
-// Picks the shard and pre-filters the scan; the config is not hashed —
-// exact comparison (HybridConfig::operator== included) decides a hit.
-std::uint64_t fingerprint_of(const la::CsrMatrix& A,
-                             const AlgebraicOptions& opts,
-                             const mesh::Mesh* m) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  // Source tag + setup graph: a mesh-keyed session is prepared with the mesh
-  // adjacency, a matrix-keyed one with the matrix pattern — identical
-  // (A, cfg, opts) must NOT collide across the two, or a hit would return a
-  // session decomposed over the wrong graph.
-  const std::uint8_t mesh_keyed = m != nullptr ? 1 : 0;
-  h = hash_pod(mesh_keyed, h);
-  if (m != nullptr) {
-    h = hash_span(m->adj_ptr(), h);
-    h = hash_span(m->adj(), h);
-  }
-  h = hash_pod(A.rows(), h);
-  h = hash_pod(A.cols(), h);
-  h = hash_span(A.row_ptr(), h);
-  h = hash_span(A.col_idx(), h);
-  h = hash_span(A.values(), h);
-  h = hash_span(opts.dirichlet, h);
-  h = hash_span(opts.coordinates, h);
-  return h;
-}
-
-template <typename T>
-bool spans_equal(std::span<const T> a, std::span<const T> b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-bool matrices_equal(const la::CsrMatrix& a, const la::CsrMatrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         spans_equal(a.row_ptr(), b.row_ptr()) &&
-         spans_equal(a.col_idx(), b.col_idx()) &&
-         spans_equal(a.values(), b.values());
+// Bitwise equality of two contiguous arrays of the same element type.
+template <typename X, typename Y>
+bool same_bytes(const X& a, const Y& b) {
+  using T = std::remove_cvref_t<decltype(*std::data(a))>;
+  static_assert(
+      std::is_same_v<T, std::remove_cvref_t<decltype(*std::data(b))>>);
+  return std::size(a) == std::size(b) &&
+         (std::size(a) == 0 ||
+          std::memcmp(std::data(a), std::data(b), std::size(a) * sizeof(T)) ==
+              0);
 }
 
 }  // namespace
 
 struct SessionCache::Entry {
-  std::uint64_t fingerprint = 0;
   // Owned copies of everything the prepared session points into. All key
-  // material is written once, before the entry is published into its shard,
-  // so shard-locked scans may compare against it while setup is running.
+  // material is written here, before the entry is published, and never
+  // changes — lookups may compare against it while setup is running.
+  Entry(const la::CsrMatrix& a, const HybridConfig& c,
+        const AlgebraicOptions& opts, const mesh::Mesh* m)
+      : A(a),  // private copy: must outlive the caller's matrix
+        dirichlet(opts.dirichlet.begin(), opts.dirichlet.end()),
+        coordinates(opts.coordinates.begin(), opts.coordinates.end()),
+        mesh_keyed(m != nullptr),
+        cfg(c) {
+    if (m != nullptr) {
+      graph_ptr.assign(m->adj_ptr().begin(), m->adj_ptr().end());
+      graph_idx.assign(m->adj().begin(), m->adj().end());
+    }
+  }
+
   la::CsrMatrix A;
   std::vector<std::uint8_t> dirichlet;
   std::vector<mesh::Point2> coordinates;
-  // The setup graph for mesh-keyed entries (empty for matrix-keyed ones,
-  // whose graph is derivable from A): part of the exact-verify so the
-  // collision guarantee holds across the two setup paths.
+  // A mesh-keyed session is prepared over the mesh adjacency, a
+  // matrix-keyed one over the matrix pattern: identical (A, cfg, opts) must
+  // not alias across the two, so the source and the graph are key material.
+  bool mesh_keyed;
   std::vector<la::Offset> graph_ptr;
   std::vector<la::Index> graph_idx;
   HybridConfig cfg;
   SolverSession session;
-  std::size_t bytes = 0;
   /// Stampede collapse: the one setup for this key runs inside this flag;
   /// concurrent callers block here until the session is prepared.
   std::once_flag setup_once;
-  /// True once setup has completed — the entry is then eligible for
-  /// eviction.
-  std::atomic<bool> ready{false};
-  /// Whether `bytes` is currently included in the cache-wide total. Guarded
-  /// by the owning shard's mutex; accounting happens only for entries that
-  /// are (still) published in a shard, so an entry removed mid-setup (clear,
-  /// failed-setup retry) can never leak bytes into the total.
-  bool accounted = false;
-  /// Global-LRU recency stamp (cache clock value of the last touch).
-  std::atomic<std::uint64_t> last_used{0};
+  // Guarded by the cache mutex. `ready` turns true once setup has completed
+  // while the entry is published; only then are `bytes` part of the cache
+  // total and the entry eligible for eviction.
+  bool ready = false;
+  std::size_t bytes = 0;
+
+  /// Exact key comparison, cheap parts first.
+  bool matches(const la::CsrMatrix& a, const HybridConfig& c,
+               const AlgebraicOptions& opts, const mesh::Mesh* m) const {
+    if (mesh_keyed != (m != nullptr) || cfg != c || A.rows() != a.rows() ||
+        A.cols() != a.cols() || A.nnz() != a.nnz() ||
+        dirichlet.size() != opts.dirichlet.size() ||
+        coordinates.size() != opts.coordinates.size()) {
+      return false;
+    }
+    return same_bytes(A.row_ptr(), a.row_ptr()) &&
+           same_bytes(A.col_idx(), a.col_idx()) &&
+           same_bytes(A.values(), a.values()) &&
+           same_bytes(dirichlet, opts.dirichlet) &&
+           same_bytes(coordinates, opts.coordinates) &&
+           (m == nullptr || (same_bytes(graph_ptr, m->adj_ptr()) &&
+                             same_bytes(graph_idx, m->adj())));
+  }
+
+  void setup() {
+    AlgebraicOptions owned_opts;
+    owned_opts.dirichlet = dirichlet;
+    owned_opts.coordinates = coordinates;
+    if (mesh_keyed) {
+      // Identical to setup(mesh, prob, cfg) — same graph, coords and mask —
+      // but run against the entry's operator copy so the prepared state
+      // points into the cache, not the caller.
+      session.setup_from_graph(A, cfg, graph_ptr, graph_idx, owned_opts);
+    } else {
+      session.setup(A, cfg, owned_opts);
+    }
+    // Further setup() on this shared session would re-key it out from under
+    // the entry's key (and every concurrent holder).
+    session.lock_setup();
+  }
 
   std::size_t measure() const {
     return session.memory_bytes() + dirichlet.size() +
@@ -112,80 +107,33 @@ struct SessionCache::Entry {
   }
 };
 
-void SessionCache::run_setup(Entry& e) {
-  AlgebraicOptions owned_opts;
-  owned_opts.dirichlet = e.dirichlet;
-  owned_opts.coordinates = e.coordinates;
-  if (!e.graph_ptr.empty()) {
-    // Mesh-keyed: identical to setup(mesh, prob, cfg) — same graph, coords
-    // and mask — but run against the entry's operator copy so the prepared
-    // state points into the cache, not the caller.
-    e.session.setup_from_graph(e.A, e.cfg, e.graph_ptr, e.graph_idx,
-                               owned_opts);
-  } else {
-    e.session.setup(e.A, e.cfg, owned_opts);
-  }
-  // Further setup() on this shared session would re-key it out from under
-  // the fingerprint index (and every concurrent holder).
-  e.session.lock_setup();
-  e.ready.store(true, std::memory_order_release);
-}
-
 std::shared_ptr<SolverSession> SessionCache::lookup_or_insert(
-    std::uint64_t fingerprint, const la::CsrMatrix& A, const HybridConfig& cfg,
+    const la::CsrMatrix& A, const HybridConfig& cfg,
     const AlgebraicOptions& opts, const mesh::Mesh* m) {
-  Shard& shard = shards_[fingerprint % kNumShards];
   std::shared_ptr<Entry> entry;
   bool inserted = false;
+  bool will_wait = false;
   {
-    std::lock_guard lock(shard.mutex);
-    for (const auto& e : shard.entries) {
-      if (e->fingerprint != fingerprint) continue;
-      // Exact verification: a colliding fingerprint must degrade to a miss.
-      const bool entry_mesh_keyed = !e->graph_ptr.empty();
-      if (entry_mesh_keyed != (m != nullptr)) continue;
-      if (m != nullptr &&
-          (!spans_equal(std::span<const la::Offset>(e->graph_ptr),
-                        m->adj_ptr()) ||
-           !spans_equal(std::span<const la::Index>(e->graph_idx), m->adj()))) {
-        continue;
-      }
-      if (e->cfg != cfg || !matrices_equal(e->A, A) ||
-          !spans_equal(std::span<const std::uint8_t>(e->dirichlet),
-                       opts.dirichlet) ||
-          !spans_equal(std::span<const mesh::Point2>(e->coordinates),
-                       opts.coordinates)) {
-        continue;
-      }
-      entry = e;
-      break;
-    }
-    if (entry == nullptr) {
-      entry = std::make_shared<Entry>();
-      entry->fingerprint = fingerprint;
-      entry->A = A;  // private copy: must outlive the caller's matrix
-      entry->dirichlet.assign(opts.dirichlet.begin(), opts.dirichlet.end());
-      entry->coordinates.assign(opts.coordinates.begin(),
-                                opts.coordinates.end());
-      entry->cfg = cfg;
-      if (m != nullptr) {
-        entry->graph_ptr.assign(m->adj_ptr().begin(), m->adj_ptr().end());
-        entry->graph_idx.assign(m->adj().begin(), m->adj().end());
-      }
-      shard.entries.push_back(entry);
+    std::lock_guard lock(mutex_);
+    const auto it = std::find_if(
+        entries_.begin(), entries_.end(),
+        [&](const auto& e) { return e->matches(A, cfg, opts, m); });
+    if (it != entries_.end()) {
+      entry = *it;
+      std::rotate(it, it + 1, entries_.end());  // most recently used last
+      // A waiter that arrives while the first caller is still inside setup
+      // counts as a hit (1 miss + N−1 hits for an N-thread stampede), but is
+      // also marked as a stampede-wait: it is about to block in call_once.
+      will_wait = !entry->ready;
+      ++stats_.hits;
+    } else {
+      entry = std::make_shared<Entry>(A, cfg, opts, m);
+      entries_.push_back(entry);
       inserted = true;
+      ++stats_.misses;
     }
-    entry->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                           std::memory_order_relaxed);
   }
-  // Hit/miss/stampede telemetry. A waiter that arrives while the first
-  // caller is still inside setup counts as a hit (it shares that one setup:
-  // 1 miss + N−1 hits for an N-thread stampede), but is additionally marked
-  // as a stampede-wait — it is about to block in call_once below.
-  const bool will_wait =
-      !inserted && !entry->ready.load(std::memory_order_acquire);
   if (inserted) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
     if (obs::metrics_enabled()) {
       static obs::Counter& c =
           obs::Registry::instance().counter("cache.misses_total");
@@ -193,65 +141,76 @@ std::shared_ptr<SolverSession> SessionCache::lookup_or_insert(
     }
     obs::instant("cache.miss");
   } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
     if (obs::metrics_enabled()) {
-      static obs::Counter& c =
-          obs::Registry::instance().counter("cache.hits_total");
+      auto& reg = obs::Registry::instance();
+      static obs::Counter& c = reg.counter("cache.hits_total");
+      static obs::Counter& w = reg.counter("cache.stampede_waits_total");
       c.inc();
-      if (will_wait) {
-        static obs::Counter& w =
-            obs::Registry::instance().counter("cache.stampede_waits_total");
-        w.inc();
-      }
+      if (will_wait) w.inc();
     }
     obs::instant(will_wait ? "cache.stampede_wait" : "cache.hit");
   }
 
-  // The setup itself runs outside every shard lock — long setups must not
-  // block lookups of other operators (or eviction). call_once both
-  // collapses the stampede and publishes the prepared state to waiters.
+  // The setup itself runs outside the lock — a long setup must not block
+  // lookups of other operators. call_once both collapses the stampede and
+  // publishes the prepared state to waiters.
   try {
     std::call_once(entry->setup_once, [&] {
       OBS_SPAN("cache.setup");
-      run_setup(*entry);
+      entry->setup();
     });
   } catch (...) {
     // Failed setup (unknown name, missing model, …): unpublish the entry so
-    // the key is retryable, then surface the error to this caller. Another
+    // the key is retryable, then surface the error to this caller. A
     // stampeding waiter retries the setup via call_once semantics and
     // reaches this same path.
-    std::lock_guard lock(shard.mutex);
-    auto& v = shard.entries;
-    v.erase(std::remove(v.begin(), v.end(), entry), v.end());
+    std::lock_guard lock(mutex_);
+    std::erase(entries_, entry);
     throw;
   }
 
-  // Re-measure on every touch: first touch accounts the freshly prepared
-  // state, later hits fold in growth the session accrued since (the GNN
-  // block path builds merged-shard plans lazily per column count — the
-  // budget must see them, or a ddm-gnn cache would silently exceed its
-  // configured bytes). The measurement walks session state, so it runs
-  // BEFORE taking the shard lock — concurrent hits on one shard must not
-  // serialize behind it — and is folded in only while the entry is still
-  // published in the shard (an entry removed mid-flight leaks nothing).
+  // Re-measure on every touch: the first touch accounts the freshly
+  // prepared state, later hits fold in growth the session accrued since (the
+  // GNN block path builds merged-shard plans lazily per column count). The
+  // measurement walks session state, so it runs before taking the lock, and
+  // is folded in only while the entry is still published (an entry removed
+  // mid-flight by clear() leaks nothing).
   const std::size_t now = entry->measure();
+  // Declared before the lock so evicted sessions are destroyed after it is
+  // released.
+  std::vector<std::shared_ptr<Entry>> evicted;
   {
-    std::lock_guard lock(shard.mutex);
-    const auto it = std::find(shard.entries.begin(), shard.entries.end(),
-                              entry);
-    if (it != shard.entries.end()) {
-      if (!entry->accounted) {
-        entry->accounted = true;
-        entry->bytes = now;
-        bytes_.fetch_add(now, std::memory_order_relaxed);
-      } else if (now > entry->bytes) {
-        bytes_.fetch_add(now - entry->bytes, std::memory_order_relaxed);
+    std::lock_guard lock(mutex_);
+    if (std::find(entries_.begin(), entries_.end(), entry) != entries_.end()) {
+      entry->ready = true;
+      if (now > entry->bytes) {
+        bytes_ += now - entry->bytes;
         entry->bytes = now;
       }
     }
+    const auto is_ready = [](const auto& e) { return e->ready; };
+    while (bytes_ > byte_budget_) {
+      // The least recently used ready entry goes, unless it is the only
+      // ready one: an over-budget single entry is admitted.
+      const auto victim =
+          std::find_if(entries_.begin(), entries_.end(), is_ready);
+      if (victim == entries_.end() ||
+          std::none_of(victim + 1, entries_.end(), is_ready)) {
+        break;
+      }
+      bytes_ -= (*victim)->bytes;
+      evicted.push_back(std::move(*victim));
+      entries_.erase(victim);
+      ++stats_.evictions;
+    }
   }
-  if (bytes_.load(std::memory_order_relaxed) > byte_budget_) {
-    evict_over_budget();
+  for (const auto& e : evicted) {
+    if (obs::metrics_enabled()) {
+      static obs::Counter& c =
+          obs::Registry::instance().counter("cache.evictions_total");
+      c.inc();
+    }
+    obs::instant("cache.eviction", "bytes", static_cast<double>(e->bytes));
   }
   return {entry, &entry->session};
 }
@@ -262,92 +221,35 @@ std::shared_ptr<SolverSession> SessionCache::get_or_setup(
   AlgebraicOptions opts;
   opts.dirichlet = prob.dirichlet;
   opts.coordinates = m.points();
-  return lookup_or_insert(fingerprint_of(prob.A, opts, &m), prob.A, cfg, opts,
-                          &m);
+  return lookup_or_insert(prob.A, cfg, opts, &m);
 }
 
 std::shared_ptr<SolverSession> SessionCache::get_or_setup(
     const la::CsrMatrix& A, const HybridConfig& cfg,
     const AlgebraicOptions& opts) {
-  return lookup_or_insert(fingerprint_of(A, opts, nullptr), A, cfg, opts,
-                          nullptr);
-}
-
-void SessionCache::evict_over_budget() {
-  // One evictor at a time; lookups and inserts proceed concurrently (they
-  // only nudge bytes_ upward, which the loop re-reads every round).
-  std::lock_guard evict_lock(evict_mutex_);
-  while (bytes_.load(std::memory_order_relaxed) > byte_budget_) {
-    // Find the globally least-recently-used *ready* entry. Entries mid-setup
-    // are skipped: their bytes are not accounted yet and evicting them would
-    // orphan the stampede's waiters.
-    Shard* victim_shard = nullptr;
-    std::shared_ptr<Entry> victim;
-    std::size_t total_ready = 0;
-    for (Shard& shard : shards_) {
-      std::lock_guard lock(shard.mutex);
-      for (const auto& e : shard.entries) {
-        if (!e->ready.load(std::memory_order_acquire)) continue;
-        ++total_ready;
-        if (victim == nullptr ||
-            e->last_used.load(std::memory_order_relaxed) <
-                victim->last_used.load(std::memory_order_relaxed)) {
-          victim = e;
-          victim_shard = &shard;
-        }
-      }
-    }
-    // An over-budget single entry is admitted; nothing to trim.
-    if (victim == nullptr || total_ready <= 1) return;
-    {
-      std::lock_guard lock(victim_shard->mutex);
-      auto& v = victim_shard->entries;
-      const auto it = std::find(v.begin(), v.end(), victim);
-      if (it == v.end()) continue;  // raced with clear(); re-scan
-      v.erase(it);  // holders of aliased shared_ptrs keep the session alive
-      if (victim->accounted) {
-        bytes_.fetch_sub(victim->bytes, std::memory_order_relaxed);
-      }
-    }
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) {
-      static obs::Counter& c =
-          obs::Registry::instance().counter("cache.evictions_total");
-      c.inc();
-    }
-    obs::instant("cache.eviction", "bytes",
-                 static_cast<double>(victim->bytes));
-  }
+  return lookup_or_insert(A, cfg, opts, nullptr);
 }
 
 SessionCache::Stats SessionCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard lock(mutex_);
+  return stats_;
 }
 
 std::size_t SessionCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    n += shard.entries.size();
-  }
-  return n;
+  std::lock_guard lock(mutex_);
+  return entries_.size();
+}
+
+std::size_t SessionCache::size_bytes() const {
+  std::lock_guard lock(mutex_);
+  return bytes_;
 }
 
 void SessionCache::clear() {
-  std::lock_guard evict_lock(evict_mutex_);
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    for (const auto& e : shard.entries) {
-      if (e->accounted) {
-        bytes_.fetch_sub(e->bytes, std::memory_order_relaxed);
-      }
-    }
-    shard.entries.clear();
-  }
+  std::vector<std::shared_ptr<Entry>> dropped;  // destroyed after unlocking
+  std::lock_guard lock(mutex_);
+  dropped.swap(entries_);
+  bytes_ = 0;
 }
 
 }  // namespace ddmgnn::core

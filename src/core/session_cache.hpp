@@ -7,11 +7,11 @@
 //
 // Keying: the key is the operator, the extra algebraic structure (dirichlet
 // mask, coordinates), the setup graph and the whole HybridConfig (its
-// defaulted operator==, so a field added later is keyed automatically). A
-// 64-bit FNV-1a fingerprint over the operator's CSR arrays and that extra
-// structure picks the shard; every candidate is verified by exact comparison
-// before a hit is declared, so hash collisions degrade to misses, never to
-// wrong sessions.
+// defaulted operator==, so a field added later is keyed automatically).
+// Lookup is an exact comparison against each entry: the cheap parts first
+// (config, mesh- vs matrix-keyed, dimensions and array sizes), then the
+// arrays themselves. Nothing is hashed — a hit costs one memcmp of the
+// arrays it has to verify anyway.
 //
 // Ownership: each entry owns a private copy of its operator (and mesh /
 // problem for the mesh-keyed overload), so cached sessions never dangle when
@@ -23,17 +23,18 @@
 // and shared, so GNN-preconditioned entries require the model to outlive the
 // cache (the model pointer is part of the key).
 //
-// Concurrency: get_or_setup is safe from any number of threads. The key
-// index is sharded by fingerprint (one mutex per shard, held only for scans
-// and list surgery — never across a setup or a solve), and setup stampedes
-// are collapsed per fingerprint: the first caller runs the one setup inside
-// the entry's std::call_once while every concurrent caller for the same key
-// blocks on that flag and then shares the prepared session — N threads
-// racing for one cold operator cost exactly one setup (1 miss + N−1 hits).
-// Stats counters are atomics; stats() returns a snapshot. Solving on the
-// returned sessions concurrently is safe because prepared sessions are
-// immutable at solve time (see the Preconditioner apply-workspace contract);
-// the solve-time *toggle* below is the deliberate exception.
+// Concurrency: get_or_setup is safe from any number of threads. One mutex
+// guards the entry list, the recency order, the byte total and the stats; it
+// is held for the key scan and list surgery, never across a setup or a
+// solve, and no session is destroyed under it. Setup stampedes are
+// collapsed per key: the first caller runs the one setup inside the entry's
+// std::call_once while every concurrent caller for the same key blocks on
+// that flag and then shares the prepared session — N threads racing for one
+// cold operator cost exactly one setup (1 miss + N−1 hits). A failed setup
+// unpublishes its entry, so the key can be retried. Solving on the returned
+// sessions concurrently is safe because prepared sessions are immutable at
+// solve time (see the Preconditioner apply-workspace contract); the
+// solve-time *toggle* below is the deliberate exception.
 //
 // Sharing contract: every hit hands out the SAME session object, mutably —
 // deliberately, so the solve-time toggle (set_method) works on cached
@@ -47,16 +48,14 @@
 // SolverSession::memory_bytes() plus the entry's owned copies and
 // re-measured on every touch — state a session builds lazily after setup
 // (the GNN block path's merged-shard plans) is folded into the budget at
-// the next hit instead of escaping it. Recency is a global atomic clock, so
-// LRU order spans all shards. A single entry larger than the whole budget
-// is admitted (the alternative — refusing to cache — silently re-pays setup
+// the next hit instead of escaping it. The entry list is kept in recency
+// order (a touch moves the entry to the back), and entries still in setup
+// are never evicted. A single entry larger than the whole budget is
+// admitted (the alternative — refusing to cache — silently re-pays setup
 // forever) and becomes the first eviction candidate.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -87,13 +86,10 @@ class SessionCache {
       const la::CsrMatrix& A, const HybridConfig& cfg,
       const AlgebraicOptions& opts = {});
 
-  /// Counter snapshot (consistent enough for monitoring; each counter is
-  /// individually exact).
+  /// Counter snapshot, taken under the cache lock.
   Stats stats() const;
   std::size_t size() const;
-  std::size_t size_bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
+  std::size_t size_bytes() const;
   std::size_t byte_budget() const { return byte_budget_; }
   /// Drop every entry (held sessions stay alive via their aliased
   /// shared_ptrs). Not counted as evictions.
@@ -101,34 +97,19 @@ class SessionCache {
 
  private:
   struct Entry;
-  /// Key-index shards: fingerprint → shard, one mutex per shard so
-  /// unrelated operators never contend. Entries within a shard are scanned
-  /// linearly (caches hold a handful of operators, and a hit's exact-verify
-  /// already touches the arrays).
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<std::shared_ptr<Entry>> entries;
-  };
-  static constexpr std::size_t kNumShards = 8;
 
-  std::shared_ptr<SolverSession> lookup_or_insert(
-      std::uint64_t fingerprint, const la::CsrMatrix& A,
-      const HybridConfig& cfg, const AlgebraicOptions& opts,
-      const mesh::Mesh* m);
-  void run_setup(Entry& e);
-  void evict_over_budget();
+  std::shared_ptr<SolverSession> lookup_or_insert(const la::CsrMatrix& A,
+                                                  const HybridConfig& cfg,
+                                                  const AlgebraicOptions& opts,
+                                                  const mesh::Mesh* m);
 
-  std::size_t byte_budget_;
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> evictions_{0};
-  /// Global recency clock: every touch stamps the entry, eviction removes
-  /// the smallest stamp across all shards.
-  std::atomic<std::uint64_t> clock_{0};
-  /// Serializes eviction passes (insertions/touches stay concurrent).
-  std::mutex evict_mutex_;
-  std::array<Shard, kNumShards> shards_;
+  const std::size_t byte_budget_;
+  mutable std::mutex mutex_;
+  // Everything below is guarded by mutex_. entries_ is in recency order:
+  // least recently used first.
+  std::vector<std::shared_ptr<Entry>> entries_;
+  std::size_t bytes_ = 0;
+  Stats stats_;
 };
 
 }  // namespace ddmgnn::core

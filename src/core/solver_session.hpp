@@ -172,9 +172,9 @@ class SolverSession {
   /// through the block-Krylov engine: every iteration pays ONE SpMM and ONE
   /// block preconditioner application instead of one per RHS (for DDM-GNN a
   /// single disjoint-union DSS inference over all K×s local problems), and
-  /// converged columns are deflated out. A single RHS and methods without a
-  /// block form (BiCGStab/GMRES) run the sequential loop; callers wanting
-  /// that loop for an A/B comparison call solve() per right-hand side.
+  /// converged columns are deflated out. A single RHS and GMRES (no block
+  /// form) run the sequential loop; callers wanting that loop for an A/B
+  /// comparison call solve() per right-hand side.
   std::vector<solver::SolveResult> solve_many(
       std::span<const std::vector<double>> rhs,
       std::vector<std::vector<double>>& xs) const;

@@ -568,7 +568,6 @@ std::optional<std::vector<SolveResult>> run_block_krylov(
       return block_pcg(a, m, b, x, opts);
     case KrylovMethod::kFpcg:
       return block_flexible_pcg(a, m, b, x, opts);
-    case KrylovMethod::kBicgstab:
     case KrylovMethod::kGmres:
       return std::nullopt;
   }

@@ -54,9 +54,8 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
 
 /// Block dispatch mirroring run_krylov: kPcg → block_pcg, kFpcg →
 /// block_flexible_pcg, kCg → block_pcg with the identity preconditioner
-/// (bit-identical to scalar CG per column). Methods without a block form
-/// (BiCGStab, GMRES) return nullopt — callers fall back to a sequential
-/// loop.
+/// (bit-identical to scalar CG per column). GMRES has no block form and
+/// returns nullopt — callers fall back to a sequential loop.
 std::optional<std::vector<SolveResult>> run_block_krylov(
     KrylovMethod method, const CsrMatrix& a, const precond::Preconditioner& m,
     const la::MultiVector& b, la::MultiVector& x,

@@ -42,7 +42,6 @@ const char* krylov_method_name(KrylovMethod method) {
     case KrylovMethod::kCg: return "cg";
     case KrylovMethod::kPcg: return "pcg";
     case KrylovMethod::kFpcg: return "fpcg";
-    case KrylovMethod::kBicgstab: return "bicgstab";
     case KrylovMethod::kGmres: return "gmres";
   }
   return "?";
@@ -51,7 +50,7 @@ const char* krylov_method_name(KrylovMethod method) {
 std::optional<KrylovMethod> krylov_method_from_name(std::string_view name) {
   for (const KrylovMethod m :
        {KrylovMethod::kCg, KrylovMethod::kPcg, KrylovMethod::kFpcg,
-        KrylovMethod::kBicgstab, KrylovMethod::kGmres}) {
+        KrylovMethod::kGmres}) {
     if (name == krylov_method_name(m)) return m;
   }
   return std::nullopt;
@@ -75,8 +74,8 @@ obs::FailureReason classify_failure(const SolveResult& res,
   if (res.iterations >= opts.max_iterations) {
     return FailureReason::kMaxIterations;
   }
-  // Early exit below the iteration budget (e.g. a BiCGStab breakdown):
-  // progress stopped, which is stagnation in all but name.
+  // Early exit below the iteration budget (a driver that stopped without
+  // converging): progress stopped, which is stagnation in all but name.
   return res.history.empty() ? FailureReason::kMaxIterations
                              : FailureReason::kStagnated;
 }
@@ -286,82 +285,6 @@ SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
   return res;
 }
 
-SolveResult bicgstab(const CsrMatrix& a, const precond::Preconditioner& m,
-                     std::span<const double> b, std::span<double> x,
-                     const SolveOptions& opts) {
-  check_dims(a, b, x);
-  Timer timer;
-  Accumulator precond_time;
-  SolveResult res;
-  res.method = method_label(KrylovMethod::kBicgstab, m);
-  std::vector<double>* series = forensic_series(res);
-  const std::size_t n = b.size();
-  const auto ws = m.make_workspace();
-  std::vector<double> r(n), r0(n), p(n), v(n), s(n), t(n), ph(n), sh(n);
-  a.multiply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  std::copy(r.begin(), r.end(), r0.begin());
-  const double nb = norm2(b);
-  const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  std::fill(p.begin(), p.end(), 0.0);
-  std::fill(v.begin(), v.end(), 0.0);
-  double rnorm = norm2(r);
-  if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-  int it = 0;
-  while (rnorm > stop && it < opts.max_iterations) {
-    obs::Span iter_span("bicgstab.iter");
-    const double rho_next = dot(r0, r);
-    if (rho_next == 0.0) break;  // breakdown
-    const double beta = (rho_next / rho) * (alpha / omega);
-    rho = rho_next;
-    for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    {
-      PrecondScope tt(precond_time, series);
-      m.apply(p, ph, ws.get());
-    }
-    a.multiply(ph, v);
-    alpha = rho / dot(r0, v);
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    if (norm2(s) <= stop) {
-      axpy(alpha, ph, x);
-      r = s;
-      rnorm = norm2(r);
-      ++it;
-      if (history_enabled(opts))
-        res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-      iter_span.arg("iter", it);
-      iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-      break;
-    }
-    {
-      PrecondScope tt(precond_time, series);
-      m.apply(s, sh, ws.get());
-    }
-    a.multiply(sh, t);
-    const double tt_dot = dot(t, t);
-    if (tt_dot == 0.0) break;
-    omega = dot(t, s) / tt_dot;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * ph[i] + omega * sh[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    rnorm = norm2(r);
-    ++it;
-    if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-    iter_span.arg("iter", it);
-    iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-    if (omega == 0.0) break;
-  }
-  res.iterations = it;
-  res.converged = rnorm <= stop;
-  res.final_relative_residual = rnorm / (nb > 0 ? nb : 1.0);
-  res.total_seconds = timer.seconds();
-  res.precond_seconds = precond_time.total();
-  finalize_solve_telemetry(res, opts);
-  return res;
-}
-
 SolveResult gmres(const CsrMatrix& a, const precond::Preconditioner& m,
                   std::span<const double> b, std::span<double> x,
                   const SolveOptions& opts) {
@@ -477,7 +400,6 @@ SolveResult run_krylov(KrylovMethod method, const CsrMatrix& a,
     case KrylovMethod::kCg: return conjugate_gradient(a, b, x, opts);
     case KrylovMethod::kPcg: return pcg(a, m, b, x, opts);
     case KrylovMethod::kFpcg: return flexible_pcg(a, m, b, x, opts);
-    case KrylovMethod::kBicgstab: return bicgstab(a, m, b, x, opts);
     case KrylovMethod::kGmres: return gmres(a, m, b, x, opts);
   }
   DDMGNN_CHECK(false, "run_krylov: unknown method");

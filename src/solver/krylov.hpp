@@ -1,7 +1,7 @@
 // Krylov solvers (paper §II): CG, preconditioned CG exactly as Algorithm 1,
 // flexible PCG (Polak–Ribière β — required when the preconditioner is not a
-// fixed SPD operator, which is the case for DDM-GNN), BiCGStab and restarted
-// GMRES for non-symmetric settings. All report per-iteration relative
+// fixed SPD operator, which is the case for DDM-GNN) and restarted GMRES for
+// non-symmetric settings. All report per-iteration relative
 // residual histories (Fig. 5b) and the accumulated preconditioner time
 // (Table III's T_lu / T_gnn columns).
 #pragma once
@@ -24,14 +24,13 @@ using la::CsrMatrix;
 /// The Krylov methods this module implements, as data: configs carry one of
 /// these instead of call sites hard-coding which solver function to invoke.
 enum class KrylovMethod {
-  kCg,        // unpreconditioned conjugate gradient
-  kPcg,       // Algorithm 1 (Fletcher–Reeves)
-  kFpcg,      // flexible PCG (Polak–Ribière) — safe for nonlinear M⁻¹
-  kBicgstab,  // right-preconditioned BiCGStab
-  kGmres,     // restarted GMRES, right preconditioning
+  kCg,     // unpreconditioned conjugate gradient
+  kPcg,    // Algorithm 1 (Fletcher–Reeves)
+  kFpcg,   // flexible PCG (Polak–Ribière) — safe for nonlinear M⁻¹
+  kGmres,  // restarted GMRES, right preconditioning
 };
 
-/// Canonical lowercase name: "cg", "pcg", "fpcg", "bicgstab", "gmres".
+/// Canonical lowercase name: "cg", "pcg", "fpcg", "gmres".
 /// SolveResult::method strings are prefixed with exactly these.
 const char* krylov_method_name(KrylovMethod method);
 
@@ -115,11 +114,6 @@ SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
 SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
                          std::span<const double> b, std::span<double> x,
                          const SolveOptions& opts = {});
-
-/// Preconditioned BiCGStab (right preconditioning).
-SolveResult bicgstab(const CsrMatrix& a, const precond::Preconditioner& m,
-                     std::span<const double> b, std::span<double> x,
-                     const SolveOptions& opts = {});
 
 /// Restarted GMRES(m) with right preconditioning; the restart length is
 /// opts.gmres_restart.

@@ -1,8 +1,10 @@
 // SessionCache behavior: hits return the *same* prepared session (setup not
 // re-paid), distinct operators and configs miss, LRU eviction respects the
 // byte budget, evicted-but-held sessions stay usable (aliased ownership),
-// every HybridConfig field is part of the key, and a cached session still
-// passes the solve_many block-vs-sequential equivalence.
+// every HybridConfig field is part of the key, a failed setup leaves no
+// entry behind, clear() empties the cache without touching held sessions,
+// and a cached session still passes the solve_many block-vs-sequential
+// equivalence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/session_cache.hpp"
 #include "fem/poisson.hpp"
 #include "gnn/dss_model.hpp"
@@ -248,6 +251,67 @@ TEST(SessionCache, OversizedSingleEntryIsAdmitted) {
   EXPECT_EQ(cache.size(), 1u);  // admitted despite the budget
   (void)cache.get_or_setup(A, lu_config());
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// A failed setup unpublishes its entry: the key stays retryable (the
+// second call re-runs setup instead of finding a dead once_flag), no bytes
+// are left behind, and a valid config on the same operator caches normally.
+TEST(SessionCache, FailedSetupIsUnpublishedAndRetryable) {
+  core::SessionCache cache(1u << 30);
+  const la::CsrMatrix A = grid_laplacian(14, 0.0);
+  core::HybridConfig bogus = lu_config();
+  bogus.preconditioner = "bogus";
+
+  EXPECT_THROW((void)cache.get_or_setup(A, bogus), ContractError);
+  EXPECT_THROW((void)cache.get_or_setup(A, bogus), ContractError);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.size_bytes(), 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  const auto s1 = cache.get_or_setup(A, lu_config());
+  EXPECT_TRUE(s1->ready());
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.get_or_setup(A, lu_config()).get(), s1.get());
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_GT(cache.size_bytes(), 0u);
+}
+
+TEST(SessionCache, ClearEmptiesCacheAndHeldSessionsStillSolve) {
+  core::SessionCache cache(1u << 30);
+  const la::CsrMatrix a0 = grid_laplacian(18, 0.0);
+  const la::CsrMatrix a1 = grid_laplacian(18, 1.0);
+  const core::HybridConfig cfg = lu_config();
+  const auto s0 = cache.get_or_setup(a0, cfg);
+  (void)cache.get_or_setup(a1, cfg);
+  ASSERT_EQ(cache.size(), 2u);
+  ASSERT_GT(cache.size_bytes(), 0u);
+
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.size_bytes(), 0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);  // clear() is not eviction
+
+  // The session obtained before clear() still solves to tolerance.
+  const std::vector<double> ones(a0.rows(), 1.0);
+  const std::vector<double> b = a0.apply(ones);
+  std::vector<double> x(a0.rows(), 0.0);
+  const auto res = s0->solve(b, x);
+  EXPECT_TRUE(res.converged);
+  EXPECT_LT(res.final_relative_residual, cfg.rel_tol);
+  for (Index i = 0; i < a0.rows(); i += 31) {
+    EXPECT_NEAR(x[i], 1.0, 1e-6) << i;
+  }
+
+  // Its key is gone: the next lookup is a miss that prepares a new session.
+  const std::size_t misses = cache.stats().misses;
+  const auto fresh = cache.get_or_setup(a0, cfg);
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_NE(fresh.get(), s0.get());
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SessionCache, MeshKeyedLookupHitsAndMatchesDirectSetup) {

@@ -200,15 +200,6 @@ TEST(FlexiblePcg, MatchesPcgForFixedSpdPreconditioner) {
   EXPECT_NEAR(r1.iterations, r2.iterations, 2);
 }
 
-TEST(Bicgstab, ConvergesOnSpdProblem) {
-  const auto prob = make_problem(14, 0.08);
-  const precond::Ic0Preconditioner ic(prob.A);
-  std::vector<double> x(prob.b.size(), 0.0);
-  const auto res = solver::bicgstab(prob.A, ic, prob.b, x, {.rel_tol = 1e-8});
-  EXPECT_TRUE(res.converged);
-  EXPECT_LT(fem::relative_residual(prob.A, prob.b, x), 1e-7);
-}
-
 TEST(Gmres, ConvergesOnSpdProblem) {
   const auto prob = make_problem(15, 0.09);
   const precond::Ic0Preconditioner ic(prob.A);

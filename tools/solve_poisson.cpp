@@ -18,7 +18,7 @@
 //
 // Preconditioners: any table name (none | jacobi | ic0 | ddm-lu |
 //                  ddm-lu-1level | ddm-gnn | ddm-gnn-1level).
-// Krylov: cg | pcg | fpcg | bicgstab | gmres | richardson (the stationary
+// Krylov: cg | pcg | fpcg | gmres | richardson (the stationary
 // Eq. 8 iteration; damped by --omega, auto power-iteration bound when
 // omitted); default picked from the preconditioner's symmetry.
 // --repeat N re-solves the same system N times through one session, showing
@@ -241,8 +241,7 @@ int main(int argc, char** argv) {
     const auto method = solver::krylov_method_from_name(krylov);
     if (!method) {
       std::fprintf(stderr,
-                   "unknown --krylov %s (cg|pcg|fpcg|bicgstab|gmres|"
-                   "richardson)\n",
+                   "unknown --krylov %s (cg|pcg|fpcg|gmres|richardson)\n",
                    krylov.c_str());
       return 2;
     }
