@@ -1,15 +1,16 @@
 // Streaming service usage: concurrent clients submit right-hand sides
-// against TWO cached operators through one core::SolveService, and the
-// service merges each operator's traffic into block-solve windows behind
-// their backs. Every future still completes individually, with its own
-// SolveResult, solution vector, and a receipt of its trip through the
-// service (queue wait, window size).
+// against TWO cached operators through one core::SolveService. Every future
+// completes individually, with its own SolveResult, solution vector, and a
+// receipt of its trip through the service (queue wait, window size).
 //
 // This is the serving pattern the repo's economics point at: setup is paid
-// once per operator (via the SessionCache), and concurrent single-RHS
-// requests are batched into solve_many block solves — one fused
-// preconditioner application per block iteration, however many columns ride
-// the window.
+// once per operator (via the SessionCache), and the service decides per
+// operator whether concurrent single-RHS requests are worth merging into
+// solve_many block solves. These ddm-lu operators run PCG, whose lockstep
+// block form saves no iterations, so their window width is 1: each request
+// runs as its own scalar solve on whichever worker is free, and the report
+// shows no request riding a batched window. Raw ddm-gnn, whose DSS apply
+// outweighs the block window work, is what the service batches.
 //
 //   ./streaming_solve [num_clients] [requests_per_client]
 #include <cstdio>
@@ -60,26 +61,26 @@ int main(int argc, char** argv) {
   cfg.rel_tol = 1e-8;
   cfg.track_history = false;
 
-  // The cache owns the prepared sessions; the service owns the batching.
+  // The cache owns the prepared sessions; the service owns the queues.
   core::SessionCache cache(/*byte_budget=*/1u << 28);
   core::SolveService svc(cache, {.num_workers = 2, .max_batch = 8,
                                  .max_wait = std::chrono::microseconds(500)});
 
   // Two distinct operators — a base Laplacian and a shifted one — each with
-  // its own admission queue. Requests only batch with same-operator traffic.
+  // its own admission queue and window width (1 here: ddm-lu runs PCG).
   const la::CsrMatrix a0 = grid_laplacian(side, 0.0);
   const la::CsrMatrix a1 = grid_laplacian(side, 0.75);
   const auto op0 = svc.register_operator(a0, cfg);
   const auto op1 = svc.register_operator(a1, cfg);
 
   std::printf("=== Streaming solve: %d clients x %d requests, 2 operators "
-              "(n=%d) ===\n",
-              clients, per_client, static_cast<int>(n));
+              "(n=%d, window width %zu) ===\n",
+              clients, per_client, static_cast<int>(n),
+              svc.batch_width(op0));
 
   // Each client thread fires single-RHS requests alternating between the two
   // operators, then harvests its own futures. Submission returns
-  // immediately; the solve happens on the service's workers, batched with
-  // whatever else arrived in the window.
+  // immediately; the solve happens on the service's workers.
   std::vector<std::thread> threads;
   std::vector<long> client_iters(static_cast<std::size_t>(clients), 0);
   std::vector<int> client_batched(static_cast<std::size_t>(clients), 0);

@@ -90,6 +90,27 @@ constexpr double kFallbackCostMargin = 8.0;
 /// count, so the batched path keeps every core busy.
 constexpr la::Index kShardNodeBudget = 4096;
 
+/// Deterministic flop model of one local solve — no timing, so routing and
+/// batch widths are reproducible across runs and machines. Exact: forward
+/// and backward envelope sweeps, 2 flops per stored entry each (the
+/// factorization is one-time setup cost, not counted).
+double sweep_flops(const la::SkylineCholesky& chol) {
+  return 4.0 * static_cast<double>(chol.envelope_size());
+}
+
+/// One DSS inference: k̄ message-passing iterations of two n×d×hidden
+/// edge-endpoint projections, the ne×hidden×d edge-MLP layer-2 GEMM, and the
+/// ~3 d×d-shaped node-update GEMMs.
+double inference_flops(const gnn::DssConfig& mc,
+                       const gnn::GraphTopology& topo) {
+  const double nd = static_cast<double>(topo.n);
+  const double ne = static_cast<double>(topo.num_edges());
+  const double d = static_cast<double>(mc.latent);
+  const double h = static_cast<double>(mc.hidden);
+  return static_cast<double>(mc.iterations) *
+         (4.0 * nd * d * h + 2.0 * ne * h * d + 6.0 * nd * d * d);
+}
+
 std::size_t topology_bytes(const gnn::GraphTopology& t) {
   return static_cast<std::size_t>(t.num_edges()) *
              (2 * sizeof(la::Index) + 3 * sizeof(float) + sizeof(la::Index)) +
@@ -178,24 +199,33 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
   refine_steps_.clear();
   fallback_.clear();
   fallback_count_ = 0;
-  if (!options_.adaptive_refinement) return;
+  const gnn::DssConfig& mc = model_->config();
+  if (!options_.adaptive_refinement) {
+    apply_flops_ = 0.0;
+    for (const auto& topo : topologies_) {
+      apply_flops_ +=
+          (options_.refinement_steps + 1) * inference_flops(mc, *topo);
+    }
+    return;
+  }
 
   // Refine-until-contractive: probe each subdomain with deterministic unit
   // residuals and keep the smallest pass count whose measured contraction
   // ‖r − A_i z‖/‖r‖ meets the target; subdomains the model cannot contract
   // within the pass budget get an exact Cholesky fallback. With
   // cost_aware_fallback, contractive subdomains additionally get the exact
-  // solve when a flop model (deterministic — no timing, so the chosen
-  // configuration is reproducible across runs and machines) predicts the
-  // refined GNN apply to cost more than kFallbackCostMargin × the envelope
-  // sweeps.
+  // solve when the flop model predicts the refined GNN apply to cost more
+  // than kFallbackCostMargin × the envelope sweeps. One inference is a lower
+  // bound on that cost (passes + 1 ≥ 1), so a subdomain whose single
+  // inference already exceeds the margin goes to the fallback unprobed —
+  // the probes could not change its routing.
   refine_steps_.assign(k, std::max(0, options_.refinement_steps));
   fallback_.resize(k);
   const int max_steps =
       std::max(options_.refinement_steps, kMaxRefinementSteps);
-  const gnn::DssConfig& mc = model_->config();
-  std::atomic<la::Index> fallbacks{0};
-  parallel_for_dynamic(k, [&](long i) {
+  // Smallest pass count reaching the contraction target, max over probes;
+  // -1 when some probe never reaches it.
+  auto probe_passes = [&](long i) {
     const auto& topo = topologies_[i];
     const auto n = static_cast<std::size_t>(topo->n);
     gnn::DssWorkspace dss;  // setup-time scratch, dropped after probing
@@ -204,7 +234,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
     sample.rhs.resize(n);
     std::vector<float> out;
     std::vector<double> r(n), z(n), res(n);
-    int needed = -1;  // pass count reaching the target, max over probes
+    int needed = -1;
     for (int probe = 0; probe < kProbes; ++probe) {
       Rng rng((0x5EEDull << 32) ^ (static_cast<std::uint64_t>(i) << 8) ^
               static_cast<std::uint64_t>(probe));
@@ -234,43 +264,46 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
           break;
         }
       }
-      if (reached < 0) {
-        needed = -1;  // one bad probe disqualifies the subdomain
-        break;
-      }
+      if (reached < 0) return -1;  // one bad probe disqualifies the subdomain
       needed = std::max(needed, reached);
     }
-    bool use_fallback = needed < 0;  // non-contractive: correctness fallback
+    return needed;
+  };
+  std::atomic<la::Index> fallbacks{0};
+  std::vector<double> local_flops(k, 0.0);
+  parallel_for_dynamic(k, [&](long i) {
+    const auto& topo = topologies_[i];
+    const double per_inference = inference_flops(mc, *topo);
     std::unique_ptr<la::SkylineCholesky> chol;
-    if (!use_fallback && options_.cost_aware_fallback) {
-      // Cost model, per preconditioner application. Exact: forward+backward
-      // envelope sweeps, 2 flops per stored entry each (the factorization is
-      // one-time setup cost, not counted). GNN: (passes+1) inferences, each
-      // k̄ message-passing iterations of two n×d×hidden edge-endpoint
-      // projections, the ne×hidden×d edge-MLP layer-2 GEMM, and the ~3
-      // d×d-shaped node-update GEMMs.
+    double exact_flops = 0.0;
+    bool use_fallback = false;
+    if (options_.cost_aware_fallback) {
       chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
-      const double exact_flops =
-          4.0 * static_cast<double>(chol->envelope_size());
-      const double nd = static_cast<double>(topo->n);
-      const double ne = static_cast<double>(topo->num_edges());
-      const double d = static_cast<double>(mc.latent);
-      const double h = static_cast<double>(mc.hidden);
-      const double per_inference =
-          static_cast<double>(mc.iterations) *
-          (4.0 * nd * d * h + 2.0 * ne * h * d + 6.0 * nd * d * d);
-      const double gnn_flops = (needed + 1) * per_inference;
-      use_fallback = gnn_flops > kFallbackCostMargin * exact_flops;
+      exact_flops = sweep_flops(*chol);
+      use_fallback = per_inference > kFallbackCostMargin * exact_flops;
+    }
+    int needed = -1;
+    if (!use_fallback) {
+      needed = probe_passes(i);
+      // Non-contractive: correctness fallback; else the cost model's call.
+      use_fallback = needed < 0 ||
+                     (options_.cost_aware_fallback &&
+                      (needed + 1) * per_inference >
+                          kFallbackCostMargin * exact_flops);
     }
     if (use_fallback) {
       if (!chol) chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
       if (options_.fp32_fallback) chol->enable_fp32();
+      local_flops[i] = sweep_flops(*chol);
       fallback_[i] = std::move(chol);
       fallbacks.fetch_add(1, std::memory_order_relaxed);
     } else {
       refine_steps_[i] = std::max(refine_steps_[i], needed);
+      local_flops[i] = (refine_steps_[i] + 1) * per_inference;
     }
   });
+  apply_flops_ = 0.0;
+  for (const double f : local_flops) apply_flops_ += f;
   fallback_count_ = fallbacks.load();
   int max_chosen = 0;
   for (la::Index i = 0; i < k; ++i) {

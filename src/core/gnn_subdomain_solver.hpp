@@ -82,6 +82,10 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   std::string name() const override { return "gnn"; }
   /// A neural local solve is not a symmetric linear map.
   bool is_symmetric() const override { return false; }
+  /// Each subdomain as routed at setup: 4·envelope for a Cholesky fallback,
+  /// (passes + 1)·(one inference) for a GNN one — the same flop model the
+  /// cost-aware fallback decides with.
+  double apply_flops() const override { return apply_flops_; }
 
   const std::vector<std::shared_ptr<gnn::GraphTopology>>& topologies() const {
     return topologies_;
@@ -148,6 +152,7 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   std::vector<int> refine_steps_;
   std::vector<std::unique_ptr<la::SkylineCholesky>> fallback_;
   la::Index fallback_count_ = 0;
+  double apply_flops_ = 0.0;
   mutable std::shared_mutex plans_mutex_;
   mutable std::vector<std::pair<la::Index, std::shared_ptr<const ShardPlan>>>
       plans_;  // guarded by plans_mutex_

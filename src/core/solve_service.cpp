@@ -76,6 +76,8 @@ SolveService::OperatorKey SolveService::key_for_session(
     if (operators_[k]->session.get() == session.get()) return k;
   }
   auto op = std::make_unique<OperatorState>();
+  op->width = static_cast<std::size_t>(
+      std::min(cfg_.max_batch, session->batch_width()));
   op->session = std::move(session);
   operators_.push_back(std::move(op));
   return operators_.size() - 1;
@@ -152,17 +154,18 @@ SolveService::claim_window(
     std::optional<Clock::time_point>& deadline_out) {
   // Scan for the due window whose oldest request is most urgent; while
   // scanning, remember the earliest future close_by so the caller knows when
-  // to wake again. A queue is "due" when it reached max_batch, when its
-  // oldest request's window wait expired, or when the service is draining.
+  // to wake again. A queue is "due" when it reached its operator's window
+  // width (so a width-1 queue is due as soon as it holds a request), when
+  // its oldest request's window wait expired, or when the service is
+  // draining.
   std::size_t best = operators_.size();
   Clock::time_point best_close{};
   for (std::size_t k = 0; k < operators_.size(); ++k) {
     const auto& q = operators_[k]->queue;
     if (q.empty()) continue;
     const Clock::time_point close = q.front().close_by;
-    const bool due = stopping_ ||
-                     q.size() >= static_cast<std::size_t>(cfg_.max_batch) ||
-                     close <= now;
+    const bool due =
+        stopping_ || q.size() >= operators_[k]->width || close <= now;
     if (due) {
       if (best == operators_.size() || close < best_close) {
         best = k;
@@ -174,8 +177,7 @@ SolveService::claim_window(
   }
   if (best == operators_.size()) return std::nullopt;
   OperatorState& op = *operators_[best];
-  const std::size_t take =
-      std::min(op.queue.size(), static_cast<std::size_t>(cfg_.max_batch));
+  const std::size_t take = std::min(op.queue.size(), op.width);
   std::vector<Request> batch;
   batch.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
@@ -336,6 +338,14 @@ SolveService::Stats SolveService::stats() const {
   s.max_window = max_window_.load(std::memory_order_relaxed);
   s.precond_applies = precond_applies_.load(std::memory_order_relaxed);
   return s;
+}
+
+std::size_t SolveService::batch_width(OperatorKey op) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  DDMGNN_CHECK(op < operators_.size(),
+               "SolveService::batch_width: unknown operator key " +
+                   std::to_string(op));
+  return operators_[op]->width;
 }
 
 std::size_t SolveService::queue_depth() const {

@@ -1,15 +1,17 @@
 // Streaming solve service: an asynchronous admission layer that turns
-// concurrent single-RHS traffic into block solves.
+// concurrent single-RHS traffic into block solves where those pay, and into
+// per-request scalar solves on every worker where they do not.
 //
-// The serving story before this layer was call-and-wait: every client thread
-// paid a full scalar Krylov solve even when dozens of requests against the
-// same prepared operator were in flight simultaneously. But the repo already
-// owns a faster path for exactly that shape — solve_many's block engine runs
-// ONE SpMM and ONE fused preconditioner application (for DDM-GNN, one
-// disjoint-union DSS inference across all K×s local problems) per iteration,
-// and the shared search space of block flexible PCG converges each column in
-// fewer iterations than solving it alone. SolveService routes streaming
-// traffic through that path automatically:
+// solve_many's block engine runs ONE SpMM and ONE fused preconditioner
+// application (for DDM-GNN, one disjoint-union DSS inference across all K×s
+// local problems) per iteration, and the shared search space of block
+// flexible PCG converges each column in fewer iterations than solving it
+// alone. That pays only when the preconditioner apply is dear next to the
+// block window work; otherwise a window ties one worker up for many scalar
+// solves' worth of time. Each operator therefore gets a window width at
+// register_operator, min(cfg.max_batch, SolverSession::batch_width()), from
+// a deterministic flop model: raw DDM-GNN batches, while ddm-lu and the
+// served ddm-gnn (every subdomain on its fp32 factor) run unbatched:
 //
 //   core::SessionCache cache(1u << 30);
 //   core::SolveService svc(cache, {.num_workers = 2, .max_batch = 16});
@@ -20,12 +22,15 @@
 //
 // Dynamic batching: each operator owns a FIFO admission queue. Workers close
 // an open window — and execute it as one solve_many block solve — when it
-// reaches cfg.max_batch columns OR when its oldest request has waited its
-// window wait, whichever comes first. The window wait is cfg.max_wait for
-// ordinary requests; a request carrying a QoS deadline shrinks it to at most
-// half its deadline budget (effective_window_wait), trading batch
-// amortization for admission latency exactly where a client paid for it.
-// Futures complete individually, each with its own SolveResult and solution.
+// reaches min(cfg.max_batch, batch_width) columns OR when its oldest request
+// has waited its window wait, whichever comes first. A width-1 queue is
+// therefore due as soon as it holds a request: each one runs as a scalar
+// session->solve on whichever worker is free, and max_wait does not apply.
+// The window wait is cfg.max_wait for ordinary requests; a request carrying
+// a QoS deadline shrinks it to at most half its deadline budget
+// (effective_window_wait), trading batch amortization for admission latency
+// exactly where a client paid for it. Futures complete individually, each
+// with its own SolveResult and solution.
 //
 // Backpressure: queues are bounded (cfg.queue_capacity per operator). At
 // capacity, submit() either blocks until space frees or rejects immediately
@@ -39,7 +44,8 @@
 //   service.queue_depth                                          gauge
 //   service.batch_size                                           histogram
 //   service.queue_seconds   (admission → window execution start) histogram
-//   service.window          span per executed window (batch/iterations args)
+//   service.window          span per executed window (batch/iterations args;
+//                           the width is the setup span's batch_width arg)
 // Always-on aggregate Stats (atomics, snapshot via stats()) back the bench
 // and the tests without requiring the metrics flag.
 #pragma once
@@ -73,7 +79,9 @@ struct ServiceConfig {
   /// different operators — run concurrently, which prepared sessions
   /// support by contract.
   int num_workers = 2;
-  /// A window closes when it holds this many right-hand sides...
+  /// A window closes when it holds this many right-hand sides (fewer for an
+  /// operator whose SolverSession::batch_width() is smaller — 1 when its
+  /// block solve does not pay)...
   int max_batch = 16;
   /// ...or when its oldest request has waited this long (QoS deadlines can
   /// shrink the wait per request; see effective_window_wait).
@@ -183,6 +191,9 @@ class SolveService {
   void resume();
 
   Stats stats() const;
+  /// Columns a window of `op` may hold: min(cfg.max_batch,
+  /// session->batch_width()), fixed at register_operator.
+  std::size_t batch_width(OperatorKey op) const;
   /// Queued-but-not-yet-executing requests across all operators.
   std::size_t queue_depth() const;
   const ServiceConfig& config() const { return cfg_; }
@@ -201,6 +212,7 @@ class SolveService {
   struct OperatorState {
     std::shared_ptr<SolverSession> session;
     std::deque<Request> queue;
+    std::size_t width = 1;  // window cap, see batch_width()
   };
 
   OperatorKey key_for_session(std::shared_ptr<SolverSession> session);

@@ -25,6 +25,7 @@ void SolverSession::reset_setup_state() {
   a_ = nullptr;
   num_subdomains_ = 0;
   setup_seconds_ = 0.0;
+  apply_flops_ = 0.0;
 }
 
 void SolverSession::check_setup_allowed() const {
@@ -107,6 +108,8 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
     method_ = flexible ? solver::KrylovMethod::kFpcg
                        : solver::KrylovMethod::kPcg;
   }
+  apply_flops_ = m_inv_->apply_flops();
+  setup_phase.arg("batch_width", batch_width());
 }
 
 void SolverSession::setup(const mesh::Mesh& m, const fem::PoissonProblem& prob,
@@ -293,6 +296,10 @@ std::size_t SolverSession::memory_bytes() const {
     }
   }
   return bytes;
+}
+
+int SolverSession::batch_width() const {
+  return solver::batch_width_for(method_, apply_flops_, rows());
 }
 
 const precond::Preconditioner& SolverSession::preconditioner() const {

@@ -203,6 +203,11 @@ class SolverSession {
   /// Switch the Krylov method for subsequent solves — no re-setup needed;
   /// the preconditioner state is method-agnostic.
   void set_method(solver::KrylovMethod method) { method_ = method; }
+  /// How many right-hand sides are worth one block solve: 1 unless the
+  /// method is FPCG and one column's preconditioner apply (its flop
+  /// estimate, taken once at setup) outweighs the block window work — see
+  /// solver::batch_width_for. core::SolveService caps its windows with it.
+  int batch_width() const;
   const precond::Preconditioner& preconditioner() const;
   const HybridConfig& config() const { return cfg_; }
   /// Rough bytes held by the prepared state: the operator's CSR views, the
@@ -237,6 +242,7 @@ class SolverSession {
   std::unique_ptr<precond::Preconditioner> m_inv_;
   double setup_seconds_ = 0.0;
   la::Index num_subdomains_ = 0;
+  double apply_flops_ = 0.0;  // m_inv_->apply_flops(), taken at setup
 };
 
 }  // namespace ddmgnn::core

@@ -183,6 +183,21 @@ void VCycle::cycle_many(int lvl, const la::MultiVector& r,
   smooth_many(level, r, e);
 }
 
+double VCycle::apply_flops() const {
+  const auto spmv = [](const la::CsrMatrix& m) {
+    return 2.0 * static_cast<double>(m.nnz());
+  };
+  double flops = spmv(h_.levels[0].R) + spmv(h_.levels[0].P);
+  for (int l = 0; l + 1 < h_.num_coarse_levels(); ++l) {
+    // Two Chebyshev smooths, one residual, the transfers to the child level.
+    const CoarseLevel& child = h_.levels[l + 1];
+    flops += (2 * kChebyshevDegree + 1) * spmv(h_.levels[l].A) +
+             spmv(child.R) + spmv(child.P);
+  }
+  const auto m = static_cast<double>(h_.coarsest_factor->size());
+  return flops + 2.0 * m * m;
+}
+
 void VCycle::apply_add(std::span<const double> r, std::span<double> z) const {
   obs::Span sp("mg.cycle");
   sp.arg("levels", static_cast<double>(h_.num_coarse_levels()));

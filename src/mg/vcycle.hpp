@@ -33,6 +33,10 @@ class VCycle {
   /// Block form, column-for-column bitwise identical to apply_add.
   void apply_add_many(const la::MultiVector& r, la::MultiVector& z) const;
 
+  /// Estimated flops of one single-column apply_add: 2 per stored entry of
+  /// every SpMV the cycle runs, plus 2m² for the dense coarsest sweeps.
+  double apply_flops() const;
+
   /// Bytes retained after setup (level operators, transfers, factor).
   std::size_t memory_bytes() const { return h_.memory_bytes(); }
   /// Bytes held in the dense coarsest factor.

@@ -110,13 +110,12 @@ void Histogram::reset() {
 }
 
 std::vector<double> default_latency_buckets() {
+  constexpr int kPerOctave = 8;
   std::vector<double> b;
-  for (double decade = 1e-5; decade < 1e3; decade *= 10.0) {
-    b.push_back(decade);
-    b.push_back(2.0 * decade);
-    b.push_back(5.0 * decade);
+  for (int e = -17 * kPerOctave; e <= 7 * kPerOctave; ++e) {
+    b.push_back(std::exp2(static_cast<double>(e) / kPerOctave));
   }
-  return b;  // 1e-5, 2e-5, 5e-5, ..., 100, 200, 500 seconds
+  return b;  // 2^-17, 2^(-17+1/8), ..., 2^7 seconds
 }
 
 Registry& Registry::instance() {

@@ -193,6 +193,8 @@ void PhaseTimer::finish() {
     e.name = name_;
     e.ts_ns = start_ns_;
     e.dur_ns = end_ns - start_ns_;
+    e.arg_key1 = arg_key_;
+    e.arg_val1 = arg_val_;
     rec.record(e);
   }
 }

@@ -166,6 +166,13 @@ class PhaseTimer {
   PhaseTimer(const PhaseTimer&) = delete;
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
+  /// Attach one numeric arg to the span (a later call replaces it). `key`
+  /// must be a string literal.
+  void arg(const char* key, double value) {
+    arg_key_ = key;
+    arg_val_ = value;
+  }
+
  private:
   void finish();
 
@@ -173,6 +180,8 @@ class PhaseTimer {
   Gauge* gauge_ = nullptr;
   bool tracing_ = false;
   std::int64_t start_ns_ = 0;
+  const char* arg_key_ = nullptr;
+  double arg_val_ = 0.0;
 };
 
 #define DDMGNN_OBS_CONCAT_(a, b) a##b

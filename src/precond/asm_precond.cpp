@@ -90,6 +90,14 @@ void CholeskySubdomainSolver::solve_all_block(
   });
 }
 
+double CholeskySubdomainSolver::apply_flops() const {
+  double envelope = 0.0;
+  for (const auto& f : factors_) {
+    envelope += static_cast<double>(f->envelope_size());
+  }
+  return 4.0 * envelope;
+}
+
 struct AdditiveSchwarz::Scratch final : ApplyWorkspace {
   // Reused per-apply buffers.
   std::vector<std::vector<double>> r_loc;
@@ -242,6 +250,15 @@ void AdditiveSchwarz::apply_many(const la::MultiVector& r,
     obs::PhaseTimer t("asm.coarse", &coarse_gauge());
     coarse_->apply_add_many(r, z);
   }
+}
+
+double AdditiveSchwarz::apply_flops() const {
+  double local_nodes = 0.0;
+  for (const auto& nodes : dec_->subdomains) {
+    local_nodes += static_cast<double>(nodes.size());
+  }
+  return solver_->apply_flops() + 2.0 * local_nodes +
+         (coarse_ ? coarse_->apply_flops() : 0.0);
 }
 
 std::string AdditiveSchwarz::name() const {

@@ -66,6 +66,9 @@ class AdditiveSchwarz final : public Preconditioner {
                   ApplyWorkspace* ws) const override;
   std::string name() const override;
   bool is_symmetric() const override { return solver_->is_symmetric(); }
+  /// Local solves + restrict/prolong (one gather and one add per local node)
+  /// + the coarse cycle.
+  double apply_flops() const override;
 
   const SubdomainSolver& local_solver() const { return *solver_; }
   /// The coarse correction (nullptr for the one-level method).

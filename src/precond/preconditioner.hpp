@@ -82,6 +82,12 @@ class Preconditioner {
   /// True when M⁻¹ is symmetric positive definite — plain PCG is then safe;
   /// otherwise the hybrid solver switches to flexible PCG.
   virtual bool is_symmetric() const { return true; }
+
+  /// Estimated flops of one single-column apply, from the prepared state's
+  /// shape (deterministic — never timed). The default 0 means "cheap next to
+  /// the Krylov vector work", which covers identity, Jacobi and IC(0).
+  /// SolverSession::batch_width weighs it against block FPCG's window work.
+  virtual double apply_flops() const { return 0.0; }
 };
 
 /// z = r.

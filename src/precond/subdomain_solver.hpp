@@ -68,6 +68,9 @@ class SubdomainSolver {
   virtual std::string name() const = 0;
   /// Whether each local solve is an SPD linear map of its input.
   virtual bool is_symmetric() const = 0;
+  /// Estimated flops of one solve_all (all K local solves, one column),
+  /// from the prepared state's shape — never timed. 0 means cheap.
+  virtual double apply_flops() const { return 0.0; }
 };
 
 /// Exact local solves via RCM-ordered skyline Cholesky (factored in parallel).
@@ -87,6 +90,8 @@ class CholeskySubdomainSolver final : public SubdomainSolver {
                        Workspace* ws) const override;
   std::string name() const override { return "lu"; }
   bool is_symmetric() const override { return true; }
+  /// Forward and backward sweeps: 4 × Σ envelope.
+  double apply_flops() const override;
 
  private:
   std::vector<std::unique_ptr<la::SkylineCholesky>> factors_;

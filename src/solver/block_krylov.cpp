@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <new>
 
 #include "common/error.hpp"
@@ -110,7 +111,7 @@ struct ColumnState {
 
   void finalize_remaining(int iterations, const Timer& timer) {
     for (std::size_t c = 0; c < act.size(); ++c) {
-      finalize(c, iterations, /*converged=*/false, timer);
+      finalize(c, iterations, rnorm[c] <= stop[c], timer);
     }
     act.clear();
   }
@@ -303,6 +304,7 @@ std::vector<SolveResult> block_pcg_impl(const CsrMatrix& a,
 
   MultiVector q;
   std::vector<double> alpha, pq, rho_next, beta;
+  std::vector<char> restart;  // per active column: verification missed
   int it = 0;
   while (cols.active() > 0 && it < opts.max_iterations) {
     obs::Span iter_span("block-pcg.iter");
@@ -322,7 +324,18 @@ std::vector<SolveResult> block_pcg_impl(const CsrMatrix& a,
     cols.push_history();
     iter_span.arg("iter", it);
     iter_span.arg("active_columns", cols.active());
-    compact_scalars(cols.deflate_converged(it, timer, r, p), rho);
+    // As scalar pcg: a column whose recurrence met its tolerance is verified
+    // once against b − A·x; on a miss it restarts from that true residual.
+    restart.assign(static_cast<std::size_t>(na), 0);
+    for (Index c = 0; c < na; ++c) {
+      if (cols.rnorm[c] > cols.stop[c]) continue;
+      const Index j = cols.act[c];
+      cols.rnorm[c] = true_residual(a, b.col(j), x.col(j), r.col(c));
+      restart[c] = cols.rnorm[c] > cols.stop[c];
+    }
+    const auto keep = cols.deflate_converged(it, timer, r, p);
+    compact_scalars(keep, rho);
+    compact_scalars(keep, restart);
     if (cols.active() == 0) break;
     const Index nw = cols.active();
     z.resize(n, nw);
@@ -335,6 +348,16 @@ std::vector<SolveResult> block_pcg_impl(const CsrMatrix& a,
       rho[c] = rho_next[c];
     }
     xpay_columns(beta, z, p);
+    for (Index c = 0; c < nw; ++c) {
+      if (!restart[c]) continue;
+      const auto zc = z.col(c);  // restarted: p = z, as scalar pcg
+      std::copy(zc.begin(), zc.end(), p.col(c).begin());
+    }
+  }
+  // Columns cut off by max_iterations report their true residual too.
+  for (Index c = 0; c < cols.active(); ++c) {
+    const Index j = cols.act[c];
+    cols.rnorm[c] = true_residual(a, b.col(j), x.col(j), r.col(c));
   }
   cols.finalize_remaining(it, timer);
   for (SolveResult& res : cols.results) finalize_solve_telemetry(res, opts);
@@ -383,7 +406,7 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
   const Index mem_cap = static_cast<Index>(std::max<long long>(
       2 * b.cols(), (256ll << 20) / (16ll * n)));
   const Index max_stored =
-      std::min(std::max<Index>(256, 16 * b.cols()), mem_cap);
+      std::min(std::max<Index>(kBlockFpcgWindow, 16 * b.cols()), mem_cap);
   DirectionWindow window(n, max_stored + b.cols());
 
   MultiVector z, az;
@@ -508,10 +531,8 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
   // warm-started from the block iterate.
   std::vector<double> true_res(n);
   for (Index j = 0; j < b.cols(); ++j) {
-    a.multiply(x.col(j), true_res);
     const auto bj = b.col(j);
-    for (Index i = 0; i < n; ++i) true_res[i] = bj[i] - true_res[i];
-    const double tr = norm2(true_res);
+    const double tr = true_residual(a, bj, x.col(j), true_res);
     const double nbj = norm2(bj);
     const double stop = opts.rel_tol * (nbj > 0.0 ? nbj : 1.0);
     SolveResult& res = cols.results[j];
@@ -554,6 +575,13 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
     cols.results[j] = std::move(scalar);
   }
   return std::move(cols.results);
+}
+
+int batch_width_for(KrylovMethod method, double apply_flops, Index n) {
+  const bool pays = method == KrylovMethod::kFpcg &&
+                    apply_flops >= kBatchPaysFlopsPerRow *
+                                       static_cast<double>(n);
+  return pays ? std::numeric_limits<int>::max() : 1;
 }
 
 std::optional<std::vector<SolveResult>> run_block_krylov(

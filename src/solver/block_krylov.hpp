@@ -8,11 +8,13 @@
 // Two methods, with deliberately different semantics:
 //
 //  * block_pcg — LOCKSTEP independent recurrences. Each column runs exactly
-//    the scalar pcg() arithmetic (same kernels, same order), columns only
-//    share the fused SpMM / block-preconditioner calls. Iteration counts and
-//    iterates are bit-identical to solving each RHS alone (tested). Use with
-//    fixed SPD preconditioners; the win is amortized memory traffic, not
-//    fewer iterations.
+//    the scalar pcg() arithmetic (same kernels, same order, the same
+//    true-residual check at the stop test and restart on a miss), columns
+//    only share the fused SpMM / block-preconditioner calls. Iteration
+//    counts, iterates, converged flags and final residuals are bit-identical
+//    to solving each RHS alone (tested, with and without fp32 applies). Use
+//    with fixed SPD preconditioners; the win is amortized memory traffic,
+//    not fewer iterations.
 //
 //  * block_flexible_pcg — SHARED search space. Each iteration
 //    A-orthonormalizes the s preconditioned residuals into one direction
@@ -33,6 +35,40 @@
 #include "solver/krylov.hpp"
 
 namespace ddmgnn::solver {
+
+/// Directions block_flexible_pcg keeps in its window while it holds at most
+/// 16 columns (wider blocks keep 16 per column).
+inline constexpr la::Index kBlockFpcgWindow = 256;
+
+/// One column's block-FPCG window work per block iteration, in flops per
+/// row: two conjugation GEMMs (C = QᵀZ, Z −= P·C) and three Galerkin GEMMs
+/// (C = PᵀR, X += P·C, R −= Q·C) over the full window, 2 flops per stored
+/// entry each.
+inline constexpr double kFullWindowFlopsPerRow = 10.0 * kBlockFpcgWindow;
+
+/// Batching pays when one column's preconditioner apply costs at least this
+/// many flops per row: twice the modeled window work, where the measured
+/// break-even sits. Measured through SolveService (4-vCPU VM, 1 inner
+/// thread, 2 workers, 16 requests in flight, 30 s closed-loop runs, 3
+/// interleaved pairs per point, medians), max_batch = 16 against 1:
+///  * raw ddm-gnn (fp64 FPCG, no refinement, no fallback) on n = 1551,
+///    K = 4 with trained d = h = 10 models: k̄ = 10 (apply = 9.9× the window
+///    work) 2.55 against 1.99 solves/s, batching wins 3/3; k̄ = 2 (2.0×)
+///    8.06 against 7.84, even; k̄ = 1 (0.99×) 9.26 against 10.38, batching
+///    loses 3/3;
+///  * the served ddm-gnn (fp32 Cholesky local solves, 1/26 of the window
+///    work) on n = 2266: 14.8-column windows took 68 ms p50, 3.7 ms per
+///    block iteration of window work against 1.4 ms of preconditioner, for
+///    ≈217 solves/s; one scalar FPCG solve took 3.6 ms p50, which two
+///    workers turn into ≈500–550 solves/s.
+inline constexpr double kBatchPaysFlopsPerRow = 2.0 * kFullWindowFlopsPerRow;
+
+/// How many right-hand sides of an n-row operator are worth one block solve:
+/// std::numeric_limits<int>::max() (no cap of its own) for FPCG when
+/// `apply_flops` (one column's preconditioner apply) is at least
+/// kBatchPaysFlopsPerRow·n, else 1. Lockstep block PCG/CG saves no
+/// iterations and GMRES has no block form, so they always get 1.
+int batch_width_for(KrylovMethod method, double apply_flops, la::Index n);
 
 /// Lockstep block PCG (see file header). `b` is n×s, `x` holds the initial
 /// guesses and the solutions. Returns one SolveResult per column;

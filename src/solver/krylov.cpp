@@ -174,15 +174,14 @@ SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
     }
   };
   // r0 = b - A x0, z0 = M⁻¹ r0, p0 = z0   (Algorithm 1)
-  a.multiply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  double rnorm = true_residual(a, b, x, r);
   apply_m(r, z);
   std::copy(z.begin(), z.end(), p.begin());
   const double nb = norm2(b);
   const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
   double rho = dot(r, z);
-  double rnorm = norm2(r);
   if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
+  bool exact = true;  // r is b − A·x itself, not the recurrence's update
   int it = 0;
   while (rnorm > stop && it < opts.max_iterations) {
     obs::Span iter_span("pcg.iter");
@@ -191,17 +190,28 @@ SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
     axpy(alpha, p, x);
     axpy(-alpha, q, r);
     rnorm = norm2(r);
+    exact = false;
     ++it;
     if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
     iter_span.arg("iter", it);
     iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-    if (rnorm <= stop) break;
+    if (rnorm <= stop) {
+      // Verify once; on a miss, restart the recurrence from the true r.
+      rnorm = true_residual(a, b, x, r);
+      exact = true;
+      if (rnorm <= stop) break;
+      apply_m(r, z);
+      std::copy(z.begin(), z.end(), p.begin());
+      rho = dot(r, z);
+      continue;
+    }
     apply_m(r, z);
     const double rho_next = dot(r, z);
     const double beta = rho_next / rho;
     xpay(z, beta, p);
     rho = rho_next;
   }
+  if (!exact) rnorm = true_residual(a, b, x, r);
   res.iterations = it;
   res.converged = rnorm <= stop;
   res.final_relative_residual = rnorm / (nb > 0 ? nb : 1.0);
@@ -235,15 +245,14 @@ SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
       m.apply(in, out, ws.get());
     }
   };
-  a.multiply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  double rnorm = true_residual(a, b, x, r);
   apply_m(r, z);
   std::copy(z.begin(), z.end(), p.begin());
   const double nb = norm2(b);
   const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
   double rho = dot(r, z);
-  double rnorm = norm2(r);
   if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
+  bool exact = true;  // r is b − A·x itself, not the recurrence's update
   int it = 0;
   while (rnorm > stop && it < opts.max_iterations) {
     obs::Span iter_span("fpcg.iter");
@@ -264,11 +273,21 @@ SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
     std::copy(z.begin(), z.end(), z_prev.begin());
     axpy(-alpha, q, r);
     rnorm = norm2(r);
+    exact = false;
     ++it;
     if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
     iter_span.arg("iter", it);
     iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-    if (rnorm <= stop) break;
+    if (rnorm <= stop) {
+      // Verify once; on a miss, restart the recurrence from the true r.
+      rnorm = true_residual(a, b, x, r);
+      exact = true;
+      if (rnorm <= stop) break;
+      apply_m(r, z);
+      std::copy(z.begin(), z.end(), p.begin());
+      rho = dot(r, z);
+      continue;
+    }
     apply_m(r, z);
     // Polak–Ribière: β = <r, z - z_prev> / rho.
     for (std::size_t i = 0; i < n; ++i) dz[i] = z[i] - z_prev[i];
@@ -276,6 +295,7 @@ SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
     rho = dot(r, z);
     xpay(z, beta, p);
   }
+  if (!exact) rnorm = true_residual(a, b, x, r);
   res.iterations = it;
   res.converged = rnorm <= stop;
   res.final_relative_residual = rnorm / (nb > 0 ? nb : 1.0);

@@ -104,7 +104,12 @@ SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
                                std::span<double> x,
                                const SolveOptions& opts = {});
 
-/// Preconditioned CG, Algorithm 1 of the paper (Fletcher–Reeves β).
+/// Preconditioned CG, Algorithm 1 of the paper (Fletcher–Reeves β). When
+/// the recurrence residual meets rel_tol, ‖b − A·x‖ is recomputed once:
+/// converged is reported only if that true residual meets it too, otherwise
+/// the recurrence restarts from the true residual. final_relative_residual
+/// is always the true value. flexible_pcg does the same, and block_pcg does
+/// it per column.
 SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
                 std::span<const double> b, std::span<double> x,
                 const SolveOptions& opts = {});

@@ -1,14 +1,17 @@
-// Shared solver-driver instrumentation: the one timed window every
-// preconditioner application goes through, and the forensics-series hookup.
+// Shared solver-driver internals: the one timed window every preconditioner
+// application goes through, the forensics-series hookup, and the true
+// residual the drivers verify convergence against.
 // Internal to src/solver (krylov.cpp, block_krylov.cpp, stationary.cpp); the
 // public telemetry surface (classify_failure, finalize_solve_telemetry) is
 // declared in krylov.hpp.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/timer.hpp"
+#include "la/vector_ops.hpp"
 #include "obs/flags.hpp"
 #include "obs/trace.hpp"
 #include "solver/krylov.hpp"
@@ -62,6 +65,17 @@ inline std::vector<double>* forensic_series(SolveResult& res) {
 /// caller opted out of history, as serving front-ends do.
 inline bool history_enabled(const SolveOptions& opts) {
   return opts.track_history || obs::forensics_enabled();
+}
+
+/// r = b − A·x; returns ‖r‖. PCG, flexible PCG and lockstep block PCG stop
+/// on this TRUE residual, not on their recurrence's r: under fp32 applies or
+/// a nonlinear M⁻¹ the two drift apart, and a converged flag must hold for
+/// the answer.
+inline double true_residual(const CsrMatrix& a, std::span<const double> b,
+                            std::span<const double> x, std::span<double> r) {
+  a.multiply(x, r);
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+  return la::norm2(r);
 }
 
 }  // namespace ddmgnn::solver

@@ -5,6 +5,7 @@
 // shared-subspace block flexible PCG, and the Richardson damping fix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -226,6 +227,62 @@ TEST(BlockPcg, MatchesSequentialPcgPerColumnWithDeflation) {
   // Histories are tracked per column up to each column's own convergence.
   EXPECT_EQ(static_cast<int>(block_results[3].history.size()),
             block_results[3].iterations + 1);
+}
+
+TEST(BlockPcg, LockstepBatchBitwiseEqualsScalarSolves) {
+  // One session's solve_many (block PCG) and looped solve() (scalar PCG) run
+  // the same per-column arithmetic, including the true-residual check at the
+  // stop test and the restart on a miss, so they agree bit for bit: x,
+  // iterations, converged and the (true) final residual. At 1e-8 no check
+  // misses; at 1e-15 the recurrence meets the tolerance before b − A·x does
+  // and a restart converges; 1e-16 sits below the attainable accuracy, so
+  // the columns restart until max_iterations and report not converged.
+  auto [m, prob] = small_problem(21, 1400);
+  std::vector<std::vector<double>> rhs(4, prob.b);
+  for (double& v : rhs[1]) v *= -3.0;
+  rhs[2] = random_vector(prob.b.size(), 5);
+  rhs[3] = random_vector(prob.b.size(), 6);
+  constexpr int kMaxIterations = 120;
+  for (const bool fp32 : {false, true}) {
+    for (const double rel_tol : {1e-8, 1e-15, 1e-16}) {
+      core::HybridConfig cfg;
+      cfg.preconditioner = "ddm-lu";
+      cfg.subdomain_target_nodes = 300;
+      cfg.rel_tol = rel_tol;
+      cfg.max_iterations = kMaxIterations;
+      cfg.precond_fp32 = fp32;
+      cfg.method = solver::KrylovMethod::kPcg;  // fp32 alone would pick FPCG
+      cfg.track_history = true;
+      core::SolverSession session;
+      session.setup(m, prob, cfg);
+      std::vector<std::vector<double>> xs_block;
+      const auto block = session.solve_many(rhs, xs_block);
+      const auto [seq, xs_seq] = solve_each(session, rhs);
+      for (std::size_t j = 0; j < rhs.size(); ++j) {
+        SCOPED_TRACE("fp32=" + std::to_string(fp32) +
+                     " rel_tol=" + std::to_string(rel_tol) +
+                     " col=" + std::to_string(j));
+        EXPECT_EQ(block[j].method, "block-pcg+ddm-lu");
+        EXPECT_EQ(block[j].iterations, seq[j].iterations);
+        EXPECT_EQ(block[j].converged, seq[j].converged);
+        EXPECT_EQ(block[j].final_relative_residual,
+                  seq[j].final_relative_residual);
+        EXPECT_EQ(block[j].history, seq[j].history);
+        ASSERT_EQ(xs_block[j].size(), xs_seq[j].size());
+        for (std::size_t i = 0; i < xs_seq[j].size(); ++i) {
+          ASSERT_EQ(xs_block[j][i], xs_seq[j][i]) << "row " << i;
+        }
+        // A recurrence residual at or below rel_tol before the last
+        // iteration means a check missed and the column restarted.
+        const auto& h = seq[j].history;
+        const bool restarted =
+            *std::min_element(h.begin(), h.end() - 1) <= rel_tol;
+        EXPECT_EQ(restarted, rel_tol < 1e-8);
+        EXPECT_EQ(seq[j].converged, rel_tol > 1e-16);
+        if (!seq[j].converged) EXPECT_EQ(seq[j].iterations, kMaxIterations);
+      }
+    }
+  }
 }
 
 TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {

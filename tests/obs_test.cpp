@@ -12,6 +12,7 @@
 // sequentially in one process).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -152,6 +153,34 @@ TEST(ObsMetrics, HistogramQuantilesKnownDistribution) {
   // One observation: every quantile is that observation (clamping).
   EXPECT_EQ(single.quantile(0.01), 3.0);
   EXPECT_EQ(single.quantile(0.99), 3.0);
+}
+
+TEST(ObsMetrics, DefaultLatencyBucketsBoundQuantileError) {
+  // A latency-shaped sample: log-uniform over 40µs..1.3s, plus a tight
+  // cluster of 1000 samples near 13 ms.
+  std::vector<double> xs;
+  Rng rng(17);
+  for (int i = 0; i < 3000; ++i) {
+    xs.push_back(4e-5 * std::exp(rng.uniform(0.0, 10.4)));
+  }
+  for (int i = 0; i < 1000; ++i) xs.push_back(0.0131 + 0.0002 * rng.uniform());
+  obs::Histogram h(obs::default_latency_buckets());
+  for (const double v : xs) h.observe(v);
+  std::sort(xs.begin(), xs.end());
+  const double bound = std::exp2(1.0 / 8.0) - 1.0;  // ≈ 9%
+  for (const double q : {0.5, 0.99}) {
+    // Nearest-rank exact quantile: the ceil(q·n)-th smallest sample.
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(xs.size())));
+    const double exact = xs[rank - 1];
+    EXPECT_LE(std::abs(h.quantile(q) - exact), bound * exact)
+        << "q=" << q << " exact=" << exact << " est=" << h.quantile(q);
+  }
+  // The edges span ≈7.6µs to 128 s with 8 per power of two.
+  const auto& b = h.bounds();
+  EXPECT_EQ(b.front(), std::exp2(-17.0));
+  EXPECT_EQ(b.back(), 128.0);
+  EXPECT_EQ(b.size(), 24u * 8u + 1u);
 }
 
 TEST(ObsMetrics, RegistryIdentityAndKindSafety) {

@@ -20,6 +20,7 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/gnn_subdomain_solver.hpp"
 #include "core/session_cache.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
@@ -27,7 +28,10 @@
 #include "gnn/graph.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
+#include "obs/flags.hpp"
 #include "obs/forensics.hpp"
+#include "obs/trace.hpp"
+#include "precond/asm_precond.hpp"
 #include "solver/krylov.hpp"
 
 namespace {
@@ -177,9 +181,66 @@ TEST(ServingConvergence, MixedPrecisionLuSolveMeetsFp64Tolerance) {
   const auto res = session.solve(prob.b, x);
   EXPECT_TRUE(res.converged)
       << "failure=" << obs::failure_reason_name(res.failure);
-  // Convergence is declared on the fp64 residual recurrence; verify against
-  // the true residual so fp32 rounding cannot fake it.
+  // Convergence is declared on the recomputed true residual, so fp32
+  // rounding cannot fake it.
   EXPECT_LT(true_rel_residual(prob.A, prob.b, x), 1e-7);
+}
+
+TEST(ServingConvergence, CostSkippedProbesKeepTheRouting) {
+  // The adaptive setup skips the probes of a subdomain whose single
+  // inference already fails the cost model. Routing must match what the
+  // probing setup chose on these operators (values recorded from it): every
+  // subdomain on the exact factor, every pass count at the floor of 0. The
+  // probes themselves must still run wherever one inference passes the cost
+  // model: the micro model is probed on every subdomain (one "dss.forward"
+  // span per probe pass), the paper-shape model on none. No untrained model
+  // contracts a subdomain, so none of these operators routes one to the GNN.
+  gnn::DssConfig paper;  // k̄=10, d=10, hidden=10: always cost-skipped
+  const gnn::DssModel paper_model(paper, /*seed=*/3);
+  gnn::DssConfig micro;  // k̄=1, d=2, hidden=2: cheap enough to be probed
+  micro.iterations = 1;
+  micro.latent = 2;
+  micro.hidden = 2;
+  const gnn::DssModel micro_model(micro, /*seed=*/5);
+  struct Case {
+    std::uint64_t seed;
+    Index nodes;
+    Index ns;
+    Index k;
+  };
+  for (const Case c : {Case{7, 800, 350, 2}, Case{7, 800, 100, 8},
+                       Case{11, 2200, 350, 6}, Case{11, 2200, 100, 23}}) {
+    auto [m, prob] = smoke_problem(c.seed, c.nodes);
+    for (const gnn::DssModel* model : {&paper_model, &micro_model}) {
+      core::HybridConfig cfg = served_config(*model);
+      cfg.subdomain_target_nodes = c.ns;
+      ASSERT_TRUE(cfg.gnn_cost_aware_fallback);
+      core::SolverSession session;
+      obs::TraceRecorder::instance().clear();
+      obs::set_trace_enabled(true);
+      session.setup(m, prob, cfg);
+      obs::set_trace_enabled(false);
+      Index forwards = 0;
+      for (const auto& e : obs::TraceRecorder::instance().snapshot()) {
+        forwards += std::strcmp(e.name, "dss.forward") == 0;
+      }
+      obs::TraceRecorder::instance().clear();
+      const auto& schwarz = dynamic_cast<const precond::AdditiveSchwarz&>(
+          session.preconditioner());
+      const auto& local = dynamic_cast<const core::GnnSubdomainSolver&>(
+          schwarz.local_solver());
+      ASSERT_EQ(session.num_subdomains(), c.k) << c.nodes << "/" << c.ns;
+      EXPECT_EQ(local.fallback_count(), c.k) << c.nodes << "/" << c.ns;
+      EXPECT_EQ(local.refinement_schedule(),
+                std::vector<int>(static_cast<std::size_t>(c.k), 0))
+          << c.nodes << "/" << c.ns;
+      if (model == &paper_model) {
+        EXPECT_EQ(forwards, 0) << c.nodes << "/" << c.ns;
+      } else {
+        EXPECT_GE(forwards, c.k) << c.nodes << "/" << c.ns;
+      }
+    }
+  }
 }
 
 }  // namespace

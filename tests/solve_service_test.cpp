@@ -1,4 +1,6 @@
-// SolveService behavior: batched windows return bitwise what the direct
+// SolveService behavior: each operator's window width follows the flop
+// model (raw ddm-gnn batches, ddm-lu and the served ddm-gnn run one request
+// per window), batched windows return bitwise what the direct
 // session paths return for the same window composition, backpressure honors
 // the queue cap under both admission policies, QoS deadlines shrink windows,
 // shutdown drains every admitted future, warm starts converge immediately,
@@ -9,13 +11,16 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/session_cache.hpp"
 #include "core/solve_service.hpp"
+#include "gnn/dss_model.hpp"
 #include "la/vector_ops.hpp"
+#include "solver/block_krylov.hpp"
 
 namespace {
 
@@ -48,6 +53,38 @@ core::HybridConfig lu_config() {
   return cfg;
 }
 
+/// Untrained model of the pinned benchmark shape (k̄=10, d=10, hidden=10):
+/// the weights do not matter for window formation, the shape sets the flops.
+gnn::DssModel paper_shape_model() {
+  gnn::DssConfig mc;
+  mc.iterations = 10;
+  mc.latent = 10;
+  mc.hidden = 10;
+  return gnn::DssModel(mc, /*seed=*/3);
+}
+
+/// Raw ddm-gnn: a DSS inference on every subdomain, fp64 FPCG — the one
+/// configuration whose preconditioner outweighs the block window work.
+core::HybridConfig raw_gnn_config(const gnn::DssModel& model) {
+  core::HybridConfig cfg;
+  cfg.preconditioner = "ddm-gnn";
+  cfg.subdomain_target_nodes = 100;
+  cfg.rel_tol = 1e-6;
+  cfg.track_history = false;
+  cfg.model = &model;
+  return cfg;
+}
+
+/// The served ddm-gnn: adaptive setup with the cost-aware fallback and fp32
+/// applies, which routes every subdomain to its fp32 Cholesky factor.
+core::HybridConfig served_config(const gnn::DssModel& model) {
+  core::HybridConfig cfg = raw_gnn_config(model);
+  cfg.gnn_adaptive_refinement = true;
+  cfg.gnn_cost_aware_fallback = true;
+  cfg.precond_fp32 = true;
+  return cfg;
+}
+
 std::vector<double> random_rhs(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> b(n);
@@ -66,15 +103,107 @@ core::ServiceConfig paused_friendly(int max_batch,
   return cfg;
 }
 
+TEST(SolveServiceWidth, RuleBatchesOnlyFpcgWithADearApply) {
+  using solver::KrylovMethod;
+  const Index n = 1000;
+  const double threshold = solver::kBatchPaysFlopsPerRow * n;
+  constexpr int kUncapped = std::numeric_limits<int>::max();
+  EXPECT_EQ(solver::batch_width_for(KrylovMethod::kFpcg, threshold, n),
+            kUncapped);
+  EXPECT_EQ(solver::batch_width_for(KrylovMethod::kFpcg, 40 * threshold, n),
+            kUncapped);
+  EXPECT_EQ(solver::batch_width_for(KrylovMethod::kFpcg, 0.99 * threshold, n),
+            1);
+  EXPECT_EQ(solver::batch_width_for(KrylovMethod::kFpcg, 0.0, n), 1);
+  // Lockstep block PCG/CG saves no iterations; GMRES has no block form.
+  for (const KrylovMethod m :
+       {KrylovMethod::kPcg, KrylovMethod::kCg, KrylovMethod::kGmres}) {
+    EXPECT_EQ(solver::batch_width_for(m, 40 * threshold, n), 1);
+  }
+}
+
+TEST(SolveServiceWidth, SessionsGetTheirWidthFromTheFlopModel) {
+  const la::CsrMatrix A = grid_laplacian(16, 0.0);
+  const gnn::DssModel paper = paper_shape_model();
+  core::SessionCache cache(1u << 30);
+
+  const auto lu = cache.get_or_setup(A, lu_config());
+  EXPECT_EQ(lu->batch_width(), 1);
+  const auto served = cache.get_or_setup(A, served_config(paper));
+  EXPECT_EQ(served->method(), solver::KrylovMethod::kFpcg);
+  EXPECT_EQ(served->batch_width(), 1);
+  // Raw ddm-gnn at the paper shape: one apply costs several full windows.
+  const auto raw = cache.get_or_setup(A, raw_gnn_config(paper));
+  EXPECT_GT(raw->preconditioner().apply_flops(),
+            solver::kBatchPaysFlopsPerRow * static_cast<double>(A.rows()));
+  EXPECT_EQ(raw->batch_width(), std::numeric_limits<int>::max());
+  // A small model (k̄=2, d=4, hidden=4) is cheap enough to run unbatched.
+  gnn::DssConfig small;
+  small.iterations = 2;
+  small.latent = 4;
+  small.hidden = 4;
+  const gnn::DssModel tiny(small, /*seed=*/7);
+  EXPECT_EQ(cache.get_or_setup(A, raw_gnn_config(tiny))->batch_width(), 1);
+
+  core::SolveService svc(cache, paused_friendly(/*max_batch=*/8, 50ms));
+  EXPECT_EQ(svc.batch_width(svc.register_operator(A, lu_config())), 1u);
+  EXPECT_EQ(svc.batch_width(svc.register_operator(A, served_config(paper))),
+            1u);
+  EXPECT_EQ(svc.batch_width(svc.register_operator(A, raw_gnn_config(paper))),
+            8u);
+}
+
+TEST(SolveServiceWidth, WidthOneOperatorsRunEachRequestAsADirectSolve) {
+  const la::CsrMatrix A = grid_laplacian(16, 0.0);
+  const gnn::DssModel paper = paper_shape_model();
+  core::SessionCache cache(1u << 30);
+  for (const core::HybridConfig& cfg : {lu_config(), served_config(paper)}) {
+    auto direct = cache.get_or_setup(A, cfg);
+    core::SolveService svc(cache, paused_friendly(/*max_batch=*/8, 1h));
+    const auto op = svc.register_operator(A, cfg);
+    ASSERT_EQ(svc.batch_width(op), 1u);
+    svc.pause();
+    std::vector<std::vector<double>> bs;
+    std::vector<std::future<core::SolveService::Reply>> futs;
+    for (int i = 0; i < 8; ++i) {
+      bs.push_back(random_rhs(static_cast<std::size_t>(A.rows()),
+                              300 + static_cast<std::uint64_t>(i)));
+      auto fut = svc.submit(op, bs.back());
+      ASSERT_TRUE(fut.has_value());
+      futs.push_back(std::move(*fut));
+    }
+    // A width-1 queue is due at once: the hour-long max_wait never applies.
+    svc.resume();
+    for (int i = 0; i < 8; ++i) {
+      const auto reply = futs[static_cast<std::size_t>(i)].get();
+      const auto& b = bs[static_cast<std::size_t>(i)];
+      std::vector<double> x_direct(b.size(), 0.0);
+      const auto res = direct->solve(b, x_direct);
+      EXPECT_TRUE(reply.result.converged) << cfg.preconditioner;
+      EXPECT_EQ(reply.batch_columns, 1);
+      EXPECT_EQ(reply.result.iterations, res.iterations);
+      for (std::size_t j = 0; j < b.size(); ++j) {
+        EXPECT_EQ(reply.x[j], x_direct[j]) << "col=" << i << " row=" << j;
+      }
+    }
+    const auto st = svc.stats();
+    EXPECT_EQ(st.windows, 8u);
+    EXPECT_EQ(st.max_window, 1u);
+  }
+}
+
 TEST(SolveServiceWindow, BatchedWindowBitwiseEqualsDirectSolveMany) {
-  const la::CsrMatrix A = grid_laplacian(24, 0.0);
-  const core::HybridConfig cfg = lu_config();
+  // Raw ddm-gnn at the paper shape is the operator whose windows batch.
+  const la::CsrMatrix A = grid_laplacian(8, 0.0);
+  const gnn::DssModel model = paper_shape_model();
+  const core::HybridConfig cfg = raw_gnn_config(model);
   core::SessionCache cache(1u << 30);
   auto direct = cache.get_or_setup(A, cfg);
 
   for (const int s : {2, 3, 5}) {
     core::SolveService svc(cache, paused_friendly(/*max_batch=*/8, 50ms));
     const auto op = svc.register_operator(A, cfg);
+    ASSERT_EQ(svc.batch_width(op), 8u);
     svc.pause();
     std::vector<std::vector<double>> bs;
     std::vector<std::future<core::SolveService::Reply>> futs;
@@ -127,40 +256,6 @@ TEST(SolveServiceWindow, SingletonWindowBitwiseEqualsDirectSolve) {
   EXPECT_EQ(reply.result.iterations, res_direct.iterations);
   for (std::size_t j = 0; j < b.size(); ++j) {
     EXPECT_EQ(reply.x[j], x_direct[j]) << j;
-  }
-}
-
-TEST(SolveServiceWindow, LockstepBatchBitwiseEqualsScalarSolves) {
-  // ddm-lu runs PCG → block_pcg, whose lockstep recurrence reproduces the
-  // scalar solve bit-for-bit per column: EVERY window composition of this
-  // preconditioner therefore equals direct per-request solves exactly.
-  const la::CsrMatrix A = grid_laplacian(20, 0.5);
-  const core::HybridConfig cfg = lu_config();
-  core::SessionCache cache(1u << 30);
-  auto direct = cache.get_or_setup(A, cfg);
-
-  core::SolveService svc(cache, paused_friendly(/*max_batch=*/4, 50ms));
-  const auto op = svc.register_operator(A, cfg);
-  svc.pause();
-  std::vector<std::vector<double>> bs;
-  std::vector<std::future<core::SolveService::Reply>> futs;
-  for (int i = 0; i < 4; ++i) {
-    bs.push_back(random_rhs(static_cast<std::size_t>(A.rows()),
-                            500 + static_cast<std::uint64_t>(i)));
-    auto fut = svc.submit(op, bs.back());
-    ASSERT_TRUE(fut.has_value());
-    futs.push_back(std::move(*fut));
-  }
-  svc.resume();
-  for (int i = 0; i < 4; ++i) {
-    const auto reply = futs[static_cast<std::size_t>(i)].get();
-    std::vector<double> x_direct(bs[static_cast<std::size_t>(i)].size(), 0.0);
-    const auto res = direct->solve(bs[static_cast<std::size_t>(i)], x_direct);
-    EXPECT_TRUE(reply.result.converged);
-    EXPECT_EQ(reply.result.iterations, res.iterations);
-    for (std::size_t j = 0; j < x_direct.size(); ++j) {
-      EXPECT_EQ(reply.x[j], x_direct[j]) << "col=" << i << " row=" << j;
-    }
   }
 }
 
@@ -255,21 +350,24 @@ TEST(SolveServiceQoS, EffectiveWindowWaitShrinksWithDeadline) {
 }
 
 TEST(SolveServiceQoS, DeadlineClosesWindowEarly) {
-  const la::CsrMatrix A = grid_laplacian(16, 0.0);
-  const core::HybridConfig cfg = lu_config();
+  // Raw ddm-gnn batches, so its queue is not due at one request: only the
+  // deadline can close this window before max_wait.
+  const la::CsrMatrix A = grid_laplacian(6, 0.0);
+  const gnn::DssModel model = paper_shape_model();
+  const core::HybridConfig cfg = raw_gnn_config(model);
   core::SessionCache cache(1u << 30);
   // Without a deadline a lone request would sit the full 10 s window wait.
   core::SolveService svc(cache, paused_friendly(/*max_batch=*/16, 10s));
   const auto op = svc.register_operator(A, cfg);
+  ASSERT_GT(svc.batch_width(op), 1u);
 
   core::SubmitOptions qos;
   qos.deadline = 10ms;
   auto fut = svc.submit(
       op, random_rhs(static_cast<std::size_t>(A.rows()), 5), qos);
   ASSERT_TRUE(fut.has_value());
-  // The deadline must close (and solve) the window orders of magnitude
-  // before the configured max_wait.
-  ASSERT_EQ(fut->wait_for(5s), std::future_status::ready);
+  // The deadline must close the window orders of magnitude before the
+  // configured max_wait: the request waits well under a second for it.
   const auto reply = fut->get();
   EXPECT_TRUE(reply.result.converged);
   EXPECT_EQ(reply.batch_columns, 1);
@@ -377,9 +475,12 @@ TEST(SolveServiceContract, BadSubmitsThrowAndShutdownRefuses) {
 // light — the run exists to put admission, window formation, execution and
 // completion under real cross-thread contention.
 TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
-  const la::CsrMatrix A = grid_laplacian(16, 0.0);
+  // Operator A runs raw ddm-gnn, whose windows batch up to max_batch
+  // columns (block windows, mixed-deadline windows); B runs ddm-lu, one
+  // scalar solve per window, concurrently with them.
+  const la::CsrMatrix A = grid_laplacian(6, 0.0);
   const la::CsrMatrix B = grid_laplacian(14, 0.5);
-  const core::HybridConfig cfg = lu_config();
+  const gnn::DssModel model = paper_shape_model();
   core::SessionCache cache(1u << 30);
   core::ServiceConfig scfg;
   scfg.num_workers = 2;
@@ -387,8 +488,10 @@ TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
   scfg.max_wait = std::chrono::microseconds(300);
   scfg.queue_capacity = 16;
   core::SolveService svc(cache, scfg);
-  const auto opA = svc.register_operator(A, cfg);
-  const auto opB = svc.register_operator(B, cfg);
+  const auto opA = svc.register_operator(A, raw_gnn_config(model));
+  const auto opB = svc.register_operator(B, lu_config());
+  ASSERT_EQ(svc.batch_width(opA), 4u);
+  ASSERT_EQ(svc.batch_width(opB), 1u);
 
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 12;
@@ -427,6 +530,9 @@ TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
   EXPECT_EQ(st.rejected, static_cast<std::uint64_t>(rejected.load()));
   EXPECT_EQ(st.columns, st.completed);
   EXPECT_GE(st.windows, 1u);
+  // Four producers against two workers: A's requests queue behind running
+  // windows, so some window merges more than one column.
+  EXPECT_GT(st.max_window, 1u);
 }
 
 }  // namespace

@@ -200,6 +200,42 @@ TEST(FlexiblePcg, MatchesPcgForFixedSpdPreconditioner) {
   EXPECT_NEAR(r1.iterations, r2.iterations, 2);
 }
 
+TEST(FlexiblePcg, FinalResidualIsTheTrueResidual) {
+  auto [m, prob] = make_mesh_problem(8, 0.05);
+  const auto dec =
+      partition::decompose_target_size(m.adj_ptr(), m.adj(), 300, 2, 8);
+  const precond::AdditiveSchwarz ddm_lu(
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+  auto recomputed = [&](std::span<const double> x) {
+    std::vector<double> r(prob.b.size());
+    prob.A.multiply(x, r);
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] = prob.b[i] - r[i];
+    return la::norm2(r) / la::norm2(prob.b);
+  };
+  struct Case {
+    const char* name;
+    bool flexible;
+    bool fp32;
+    int max_iterations;
+  };
+  for (const Case c : {Case{"pcg", false, false, 500},
+                       Case{"fpcg-fp32", true, true, 500},
+                       Case{"pcg-capped", false, false, 3},
+                       Case{"fpcg-fp32-capped", true, true, 3}}) {
+    const solver::SolveOptions opts{.max_iterations = c.max_iterations,
+                                    .rel_tol = 1e-9,
+                                    .precond_fp32 = c.fp32};
+    std::vector<double> x(prob.b.size(), 0.0);
+    const auto res =
+        c.flexible ? solver::flexible_pcg(prob.A, ddm_lu, prob.b, x, opts)
+                   : solver::pcg(prob.A, ddm_lu, prob.b, x, opts);
+    EXPECT_DOUBLE_EQ(res.final_relative_residual, recomputed(x)) << c.name;
+    EXPECT_EQ(res.converged, res.final_relative_residual <= opts.rel_tol)
+        << c.name;
+    EXPECT_EQ(res.converged, c.max_iterations > 3) << c.name;
+  }
+}
+
 TEST(Gmres, ConvergesOnSpdProblem) {
   const auto prob = make_problem(15, 0.09);
   const precond::Ic0Preconditioner ic(prob.A);
