@@ -6,11 +6,11 @@
 // This is the serving pattern the repo's economics point at: setup is paid
 // once per operator (via the SessionCache), and the service decides per
 // operator whether concurrent single-RHS requests are worth merging into
-// solve_many block solves. These ddm-lu operators run PCG, whose lockstep
-// block form saves no iterations, so their window width is 1: each request
-// runs as its own scalar solve on whichever worker is free, and the report
-// shows no request riding a batched window. Raw ddm-gnn, whose DSS apply
-// outweighs the block window work, is what the service batches.
+// solve_many block solves. These ddm-lu operators run PCG, which has no
+// block form (only flexible PCG does), so their window width is 1: each
+// request runs as its own scalar solve on whichever worker is free, and the
+// report shows no request riding a batched window. Raw ddm-gnn, whose DSS
+// apply outweighs the block window work, is what the service batches.
 //
 //   ./streaming_solve [num_clients] [requests_per_client]
 #include <cstdio>

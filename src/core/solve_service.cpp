@@ -1,6 +1,7 @@
 #include "core/solve_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -104,6 +105,16 @@ std::optional<std::future<SolveService::Reply>> SolveService::submit(
   req.enqueued = now;
   req.close_by = now + effective_window_wait(cfg_.max_wait, qos.deadline);
   std::future<Reply> fut = req.promise.get_future();
+
+  // Checked here, not in the window, so a NaN/Inf request fails alone
+  // instead of every request batched with it.
+  const auto finite = [](std::span<const double> v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](double e) { return std::isfinite(e); });
+  };
+  DDMGNN_CHECK(finite(req.rhs),
+               "SolveService::submit: rhs has a NaN/Inf entry");
+  DDMGNN_CHECK(finite(req.x0), "SolveService::submit: x0 has a NaN/Inf entry");
 
   const AdmissionPolicy policy = qos.on_full.value_or(cfg_.on_full);
   {
@@ -216,27 +227,17 @@ void SolveService::execute_window(OperatorState& op,
   std::vector<solver::SolveResult> results;
   std::vector<std::vector<double>> xs;
   try {
-    if (s == 1) {
-      xs.resize(1);
-      xs[0].assign(batch[0].rhs.size(), 0.0);
-      results.push_back(
-          op.session->solve(batch[0].rhs, xs[0], batch[0].x0));
-    } else {
-      std::vector<std::vector<double>> bs;
-      std::vector<std::vector<double>> x0s;
-      bs.reserve(s);
-      x0s.reserve(s);
-      bool any_seed = false;
-      for (Request& r : batch) {
-        any_seed = any_seed || !r.x0.empty();
-        bs.push_back(std::move(r.rhs));
-        x0s.push_back(std::move(r.x0));
-      }
-      results = op.session->solve_many(
-          bs, xs,
-          any_seed ? std::span<const std::vector<double>>(x0s)
-                   : std::span<const std::vector<double>>{});
+    // solve_many picks the path: block FPCG when the operator's batch width
+    // is above 1, else a scalar solve per column.
+    std::vector<std::vector<double>> bs;
+    std::vector<std::vector<double>> x0s;
+    bs.reserve(s);
+    x0s.reserve(s);
+    for (Request& r : batch) {
+      bs.push_back(std::move(r.rhs));
+      x0s.push_back(std::move(r.x0));
     }
+    results = op.session->solve_many(bs, xs, x0s);
   } catch (...) {
     // A failed window fails each of its requests individually; the service
     // itself stays up (the next window is independent work).

@@ -21,11 +21,11 @@
 //   core::SolveService::Reply r = fut->get();           // per-RHS result
 //
 // Dynamic batching: each operator owns a FIFO admission queue. Workers close
-// an open window — and execute it as one solve_many block solve — when it
-// reaches min(cfg.max_batch, batch_width) columns OR when its oldest request
-// has waited its window wait, whichever comes first. A width-1 queue is
-// therefore due as soon as it holds a request: each one runs as a scalar
-// session->solve on whichever worker is free, and max_wait does not apply.
+// an open window — and execute it as one solve_many call — when it reaches
+// min(cfg.max_batch, batch_width) columns OR when its oldest request has
+// waited its window wait, whichever comes first. A width-1 queue is
+// therefore due as soon as it holds a request: each one runs as one scalar
+// solve on whichever worker is free, and max_wait does not apply.
 // The window wait is cfg.max_wait for ordinary requests; a request carrying
 // a QoS deadline shrinks it to at most half its deadline budget
 // (effective_window_wait), trading batch amortization for admission latency

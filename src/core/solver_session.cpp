@@ -1,6 +1,8 @@
 #include "core/solver_session.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -16,6 +18,34 @@
 #include "solver/block_krylov.hpp"
 
 namespace ddmgnn::core {
+
+namespace {
+
+bool is_finite(double v) { return std::isfinite(v); }
+
+/// Non-finite input would surface only as a NaN residual after every
+/// iteration has run; these reject it at entry, naming the first bad entry.
+void check_finite(const la::CsrMatrix& A) {
+  const auto vals = A.values();
+  const auto bad = std::find_if_not(vals.begin(), vals.end(), is_finite);
+  if (bad == vals.end()) return;
+  const auto k = bad - vals.begin();
+  const auto row_ptr = A.row_ptr();
+  const auto row =
+      std::upper_bound(row_ptr.begin(), row_ptr.end(), k) - row_ptr.begin() - 1;
+  throw ContractError("setup: A(" + std::to_string(row) + ", " +
+                      std::to_string(A.col_idx()[k]) + ") = " +
+                      std::to_string(*bad) + " is not finite");
+}
+
+void check_finite(std::span<const double> v, const std::string& what) {
+  const auto bad = std::find_if_not(v.begin(), v.end(), is_finite);
+  if (bad == v.end()) return;
+  throw ContractError(what + "[" + std::to_string(bad - v.begin()) + "] = " +
+                      std::to_string(*bad) + " is not finite");
+}
+
+}  // namespace
 
 void SolverSession::reset_setup_state() {
   // Reset first so ANY setup failure — including an unknown name — leaves
@@ -48,6 +78,7 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
   cfg_ = cfg;
   DDMGNN_CHECK(adj_ptr.size() == static_cast<std::size_t>(A.rows()) + 1,
                "setup_from_graph: adjacency does not match the operator");
+  check_finite(A);
 
   // Throws (listing the table's names) on unknown names.
   const precond::PrecondTraits traits =
@@ -180,6 +211,8 @@ solver::SolveResult SolverSession::solve(std::span<const double> b,
                                          std::span<double> x,
                                          std::span<const double> x0) const {
   DDMGNN_CHECK(ready(), "SolverSession::solve before setup()");
+  check_finite(b, "solve: b");
+  check_finite(x0, "solve: x0");
   // Root span: every solve's full wall time is covered by this one event,
   // with the Krylov iterations and preconditioner phases nested inside.
   obs::Span solve_span("session.solve");
@@ -207,24 +240,22 @@ std::vector<solver::SolveResult> SolverSession::solve_many(
                "solve_many: x0s must be empty or give one (possibly empty) "
                "guess per right-hand side");
   const auto n = static_cast<std::size_t>(a_->rows());
-  for (const auto& g : x0s) {
-    DDMGNN_CHECK(g.empty() || g.size() == n,
+  for (std::size_t i = 0; i < x0s.size(); ++i) {
+    DDMGNN_CHECK(x0s[i].empty() || x0s[i].size() == n,
                  "solve_many: x0 size does not match the operator");
+    check_finite(x0s[i], "solve_many: x0s[" + std::to_string(i) + "]");
+  }
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    DDMGNN_CHECK(rhs[i].size() == n, "solve_many: rhs size mismatch");
+    check_finite(rhs[i], "solve_many: rhs[" + std::to_string(i) + "]");
   }
   obs::Span solve_span("session.solve_many");
   solve_span.arg("rhs", static_cast<double>(rhs.size()));
   xs.resize(rhs.size());
-  const bool block_capable =
-      method_ == solver::KrylovMethod::kCg ||
-      method_ == solver::KrylovMethod::kPcg ||
-      method_ == solver::KrylovMethod::kFpcg;
-  if (block_capable && rhs.size() > 1) {
-    for (const auto& b : rhs) {
-      DDMGNN_CHECK(b.size() == n, "solve_many: rhs size mismatch");
-    }
+  if (batch_width() > 1 && rhs.size() > 1) {
     const la::MultiVector b = la::MultiVector::from_columns(rhs);
     la::MultiVector x(b.rows(), b.cols(), 0.0);
-    // The block drivers treat the iterate block as the initial guess
+    // The block driver treats the iterate block as the initial guess
     // (r₀ = B − A·X₀ per column), so seeding is just filling the columns.
     for (std::size_t i = 0; i < x0s.size(); ++i) {
       if (x0s[i].empty()) continue;
@@ -232,13 +263,12 @@ std::vector<solver::SolveResult> SolverSession::solve_many(
                 x.col(static_cast<la::Index>(i)).begin());
     }
     auto results =
-        solver::run_block_krylov(method_, *a_, *m_inv_, b, x, solve_options());
-    DDMGNN_CHECK(results.has_value(), "solve_many: block dispatch failed");
+        solver::block_flexible_pcg(*a_, *m_inv_, b, x, solve_options());
     for (std::size_t i = 0; i < rhs.size(); ++i) {
       const auto col = x.col(static_cast<la::Index>(i));
       xs[i].assign(col.begin(), col.end());
     }
-    return std::move(*results);
+    return results;
   }
   std::vector<solver::SolveResult> results;
   results.reserve(rhs.size());

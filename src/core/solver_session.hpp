@@ -124,8 +124,8 @@ class SolverSession {
 
   /// Build decomposition, local factorizations/DSS graphs and coarse space
   /// for `prob.A` once. Throws ContractError for unknown preconditioner
-  /// names or missing requirements (e.g. a GNN preconditioner without a
-  /// model).
+  /// names, missing requirements (e.g. a GNN preconditioner without a
+  /// model) and NaN/Inf entries of the operator (naming the first one).
   void setup(const mesh::Mesh& m, const fem::PoissonProblem& prob,
              const HybridConfig& cfg);
 
@@ -135,8 +135,8 @@ class SolverSession {
   /// for the GNN preconditioners, graph features come from
   /// `opts.coordinates` or — when empty — synthetic spectral coordinates of
   /// that same graph. Throws ContractError for unknown names, for non-square
-  /// `A`, and for mis-sized `opts` spans. `A` must outlive the session's
-  /// solves.
+  /// `A`, for NaN/Inf entries of `A`, and for mis-sized `opts` spans. `A`
+  /// must outlive the session's solves.
   void setup(const la::CsrMatrix& A, const HybridConfig& cfg,
              const AlgebraicOptions& opts = {});
 
@@ -153,7 +153,8 @@ class SolverSession {
 
   /// Solve A x = b with the prepared preconditioner. `x` is the initial
   /// guess on entry (callers typically zero it) and the solution on exit.
-  /// Only iteration cost — no setup work happens here.
+  /// Only iteration cost — no setup work happens here. Throws ContractError
+  /// naming the first NaN/Inf entry of `b` (or of a non-empty `x0`).
   solver::SolveResult solve(std::span<const double> b,
                             std::span<double> x) const;
 
@@ -168,13 +169,16 @@ class SolverSession {
   /// Solve the same operator against each right-hand side in `rhs`;
   /// `xs` is resized to match, every solve starting from a zero guess.
   ///
-  /// With a CG/PCG/FPCG method, all right-hand sides advance together
-  /// through the block-Krylov engine: every iteration pays ONE SpMM and ONE
-  /// block preconditioner application instead of one per RHS (for DDM-GNN a
-  /// single disjoint-union DSS inference over all K×s local problems), and
-  /// converged columns are deflated out. A single RHS and GMRES (no block
-  /// form) run the sequential loop; callers wanting that loop for an A/B
-  /// comparison call solve() per right-hand side.
+  /// batch_width() decides the path. Above 1 (FPCG with a dear
+  /// preconditioner apply), more than one right-hand side advances together
+  /// through solver::block_flexible_pcg: every iteration pays ONE SpMM and
+  /// ONE block preconditioner application instead of one per RHS (for
+  /// DDM-GNN a single disjoint-union DSS inference over all K×s local
+  /// problems), the columns share one search space, and converged columns
+  /// are deflated out. Otherwise this is the loop of solve() calls, with
+  /// bitwise the results of calling solve() per right-hand side. Every
+  /// right-hand side is validated (size, finite entries) before any solve
+  /// runs.
   std::vector<solver::SolveResult> solve_many(
       std::span<const std::vector<double>> rhs,
       std::vector<std::vector<double>>& xs) const;
@@ -182,8 +186,8 @@ class SolverSession {
   /// Warm-started solve_many: `x0s` is either empty (zero start for every
   /// column, identical to the overload above) or one guess per right-hand
   /// side, where an empty inner vector means zero start for that column.
-  /// Both the block engine and the sequential fallback honor the seeds (the
-  /// block drivers treat the iterate block as the initial guess).
+  /// Both paths honor the seeds (the block driver treats the iterate block
+  /// as the initial guess).
   std::vector<solver::SolveResult> solve_many(
       std::span<const std::vector<double>> rhs,
       std::vector<std::vector<double>>& xs,
@@ -206,7 +210,8 @@ class SolverSession {
   /// How many right-hand sides are worth one block solve: 1 unless the
   /// method is FPCG and one column's preconditioner apply (its flop
   /// estimate, taken once at setup) outweighs the block window work — see
-  /// solver::batch_width_for. core::SolveService caps its windows with it.
+  /// solver::batch_width_for. solve_many picks its path by it and
+  /// core::SolveService caps its windows with it.
   int batch_width() const;
   const precond::Preconditioner& preconditioner() const;
   const HybridConfig& config() const { return cfg_; }

@@ -202,43 +202,6 @@ void MultiVector::keep_columns(std::span<const Index> keep) {
   data_.resize(static_cast<std::size_t>(rows_) * cols_);
 }
 
-void dot_columns(const MultiVector& x, const MultiVector& y,
-                 std::span<double> out) {
-  DDMGNN_CHECK(x.rows() == y.rows() && x.cols() == y.cols() &&
-                   out.size() == static_cast<std::size_t>(x.cols()),
-               "dot_columns: shape mismatch");
-  for (Index j = 0; j < x.cols(); ++j) out[j] = la::dot(x.col(j), y.col(j));
-}
-
-void norm2_columns(const MultiVector& x, std::span<double> out) {
-  DDMGNN_CHECK(out.size() == static_cast<std::size_t>(x.cols()),
-               "norm2_columns: shape mismatch");
-  for (Index j = 0; j < x.cols(); ++j) out[j] = la::norm2(x.col(j));
-}
-
-void axpy_columns(std::span<const double> a, const MultiVector& x,
-                  MultiVector& y) {
-  DDMGNN_CHECK(x.rows() == y.rows() && x.cols() == y.cols() &&
-                   a.size() == static_cast<std::size_t>(x.cols()),
-               "axpy_columns: shape mismatch");
-  for (Index j = 0; j < x.cols(); ++j) la::axpy(a[j], x.col(j), y.col(j));
-}
-
-void xpay_columns(std::span<const double> a, const MultiVector& x,
-                  MultiVector& y) {
-  DDMGNN_CHECK(x.rows() == y.rows() && x.cols() == y.cols() &&
-                   a.size() == static_cast<std::size_t>(x.cols()),
-               "xpay_columns: shape mismatch");
-  for (Index j = 0; j < x.cols(); ++j) la::xpay(x.col(j), a[j], y.col(j));
-}
-
-void copy_columns(const MultiVector& src, MultiVector& dst) {
-  DDMGNN_CHECK(src.rows() == dst.rows() && src.cols() == dst.cols(),
-               "copy_columns: shape mismatch");
-  la::copy(src.data(), dst.data());
-}
-
-
 void gemm_tn(Index n, Index k, const double* a,
              std::span<const double* const> b, std::span<double> c) {
   const auto s = static_cast<Index>(b.size());

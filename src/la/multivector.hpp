@@ -5,10 +5,6 @@
 // to the subdomain solvers (one batched DSS inference per application for
 // DDM-GNN, Eq. 14), and solver/block_krylov advances every column per
 // Krylov iteration.
-//
-// The fused kernels below intentionally reuse the scalar vector_ops kernels
-// column-by-column so a lockstep block iteration reproduces the scalar
-// iteration bit-for-bit (the block-PCG-matches-PCG test relies on this).
 #pragma once
 
 #include <span>
@@ -71,24 +67,6 @@ class MultiVector {
   Index cols_ = 0;
   std::vector<double> data_;
 };
-
-/// out[j] = <x_j, y_j> for every column pair.
-void dot_columns(const MultiVector& x, const MultiVector& y,
-                 std::span<double> out);
-
-/// out[j] = ||x_j||₂.
-void norm2_columns(const MultiVector& x, std::span<double> out);
-
-/// y_j += a[j] · x_j (the fused multi-RHS axpy).
-void axpy_columns(std::span<const double> a, const MultiVector& x,
-                  MultiVector& y);
-
-/// y_j = x_j + a[j] · y_j (the fused p-update of block CG).
-void xpay_columns(std::span<const double> a, const MultiVector& x,
-                  MultiVector& y);
-
-/// dst = src (shapes must match).
-void copy_columns(const MultiVector& src, MultiVector& dst);
 
 // ---- Blocked panel kernels (the direction window of block flexible PCG) --
 // A panel is k contiguous columns of length n, column-major with leading

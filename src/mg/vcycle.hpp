@@ -13,7 +13,7 @@
 // per-level scratch, so one VCycle serves concurrent clients. Applies are
 // bitwise-deterministic at any thread count (SpMV/SpMM + elementwise updates
 // + dense backsolves only), and apply_add_many matches apply_add bitwise per
-// column — block Krylov lockstep equivalence depends on it.
+// column, so a block apply hands every column the bits of its scalar apply.
 #pragma once
 
 #include <cstddef>

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "la/multivector.hpp"
+#include "la/vector_ops.hpp"
 
 namespace ddmgnn::precond {
 
@@ -96,7 +97,7 @@ class IdentityPreconditioner final : public Preconditioner {
   using Preconditioner::apply;
   void apply(std::span<const double> r, std::span<double> z,
              ApplyWorkspace*) const override {
-    for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i];
+    la::copy(r, z);
   }
   std::string name() const override { return "none"; }
 };

@@ -17,13 +17,11 @@ namespace ddmgnn::solver {
 
 namespace {
 
-using la::axpy;
 using la::Index;
 using la::MultiVector;
 using la::norm2;
-using la::xpay;
 
-/// Shared bookkeeping of both block methods: which original columns are
+/// Block flexible PCG's per-column bookkeeping: which original columns are
 /// still active, their tolerances, histories, and per-column timing shares.
 struct ColumnState {
   std::vector<SolveResult> results;     // indexed by ORIGINAL column
@@ -81,12 +79,11 @@ struct ColumnState {
   }
 
   /// Finalize every column whose residual met its stop threshold and drop it
-  /// from the active set, compacting the given blocks. Returns the kept
-  /// pre-compaction indices (size == previous active count when nothing
+  /// from the active set, compacting the residual block `r`. Returns the
+  /// kept pre-compaction indices (size == previous active count when nothing
   /// converged) so callers can compact their own per-column scalars.
-  template <typename... Blocks>
   std::vector<Index> deflate_converged(int iterations, const Timer& timer,
-                                       Blocks&... blocks) {
+                                       MultiVector& r) {
     std::vector<Index> keep;
     keep.reserve(act.size());
     for (std::size_t c = 0; c < act.size(); ++c) {
@@ -105,7 +102,7 @@ struct ColumnState {
     compact(nb);
     compact(stop);
     compact(rnorm);
-    (blocks.keep_columns(keep), ...);
+    r.keep_columns(keep);
     return keep;
   }
 
@@ -272,106 +269,7 @@ class DirectionWindow {
   MappedPanel p_, q_;
 };
 
-std::vector<SolveResult> block_pcg_impl(const CsrMatrix& a,
-                                        const precond::Preconditioner& m,
-                                        const MultiVector& b, MultiVector& x,
-                                        const SolveOptions& opts,
-                                        const std::string& label) {
-  check_block_dims(a, b, x);
-  Timer timer;
-  const Index n = a.rows();
-  ColumnState cols(b, opts, label);
-  // One preconditioner workspace per block solve (never shared across
-  // concurrent solve_many calls on one session).
-  const auto ws = m.make_workspace();
-
-  MultiVector r(n, b.cols());
-  initial_residual(a, b, x, r, cols);
-  MultiVector z(n, b.cols());
-  MultiVector r32;  // fp32-rounded residual block (opts.precond_fp32)
-  timed_apply_many(m, r, z, ws.get(), cols, opts, r32);
-  MultiVector p(n, b.cols());
-  copy_columns(z, p);
-  std::vector<double> rho(b.cols());
-  dot_columns(r, z, rho);
-  cols.push_history();
-  auto compact_scalars = [](const std::vector<Index>& keep, auto& v) {
-    if (keep.size() == v.size()) return;
-    for (std::size_t c = 0; c < keep.size(); ++c) v[c] = v[keep[c]];
-    v.resize(keep.size());
-  };
-  compact_scalars(cols.deflate_converged(0, timer, r, p), rho);
-
-  MultiVector q;
-  std::vector<double> alpha, pq, rho_next, beta;
-  std::vector<char> restart;  // per active column: verification missed
-  int it = 0;
-  while (cols.active() > 0 && it < opts.max_iterations) {
-    obs::Span iter_span("block-pcg.iter");
-    a.apply_many(p, q);
-    const Index na = cols.active();
-    alpha.resize(na);
-    pq.resize(na);
-    dot_columns(p, q, pq);
-    for (Index c = 0; c < na; ++c) {
-      alpha[c] = rho[c] / pq[c];
-      axpy(alpha[c], p.col(c), x.col(cols.act[c]));
-      alpha[c] = -alpha[c];
-    }
-    axpy_columns(alpha, q, r);
-    norm2_columns(r, cols.rnorm);
-    ++it;
-    cols.push_history();
-    iter_span.arg("iter", it);
-    iter_span.arg("active_columns", cols.active());
-    // As scalar pcg: a column whose recurrence met its tolerance is verified
-    // once against b − A·x; on a miss it restarts from that true residual.
-    restart.assign(static_cast<std::size_t>(na), 0);
-    for (Index c = 0; c < na; ++c) {
-      if (cols.rnorm[c] > cols.stop[c]) continue;
-      const Index j = cols.act[c];
-      cols.rnorm[c] = true_residual(a, b.col(j), x.col(j), r.col(c));
-      restart[c] = cols.rnorm[c] > cols.stop[c];
-    }
-    const auto keep = cols.deflate_converged(it, timer, r, p);
-    compact_scalars(keep, rho);
-    compact_scalars(keep, restart);
-    if (cols.active() == 0) break;
-    const Index nw = cols.active();
-    z.resize(n, nw);
-    timed_apply_many(m, r, z, ws.get(), cols, opts, r32);
-    rho_next.resize(nw);
-    beta.resize(nw);
-    dot_columns(r, z, rho_next);
-    for (Index c = 0; c < nw; ++c) {
-      beta[c] = rho_next[c] / rho[c];
-      rho[c] = rho_next[c];
-    }
-    xpay_columns(beta, z, p);
-    for (Index c = 0; c < nw; ++c) {
-      if (!restart[c]) continue;
-      const auto zc = z.col(c);  // restarted: p = z, as scalar pcg
-      std::copy(zc.begin(), zc.end(), p.col(c).begin());
-    }
-  }
-  // Columns cut off by max_iterations report their true residual too.
-  for (Index c = 0; c < cols.active(); ++c) {
-    const Index j = cols.act[c];
-    cols.rnorm[c] = true_residual(a, b.col(j), x.col(j), r.col(c));
-  }
-  cols.finalize_remaining(it, timer);
-  for (SolveResult& res : cols.results) finalize_solve_telemetry(res, opts);
-  return std::move(cols.results);
-}
-
 }  // namespace
-
-std::vector<SolveResult> block_pcg(const CsrMatrix& a,
-                                   const precond::Preconditioner& m,
-                                   const MultiVector& b, MultiVector& x,
-                                   const SolveOptions& opts) {
-  return block_pcg_impl(a, m, b, x, opts, "block-pcg+" + m.name());
-}
 
 std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
                                             const precond::Preconditioner& m,
@@ -582,24 +480,6 @@ int batch_width_for(KrylovMethod method, double apply_flops, Index n) {
                     apply_flops >= kBatchPaysFlopsPerRow *
                                        static_cast<double>(n);
   return pays ? std::numeric_limits<int>::max() : 1;
-}
-
-std::optional<std::vector<SolveResult>> run_block_krylov(
-    KrylovMethod method, const CsrMatrix& a, const precond::Preconditioner& m,
-    const MultiVector& b, MultiVector& x, const SolveOptions& opts) {
-  switch (method) {
-    case KrylovMethod::kCg: {
-      static const precond::IdentityPreconditioner identity;
-      return block_pcg_impl(a, identity, b, x, opts, "block-cg");
-    }
-    case KrylovMethod::kPcg:
-      return block_pcg(a, m, b, x, opts);
-    case KrylovMethod::kFpcg:
-      return block_flexible_pcg(a, m, b, x, opts);
-    case KrylovMethod::kGmres:
-      return std::nullopt;
-  }
-  return std::nullopt;
 }
 
 }  // namespace ddmgnn::solver

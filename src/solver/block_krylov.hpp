@@ -1,34 +1,25 @@
-// Block-Krylov solvers: the iteration layer of the batched multi-RHS solve
-// engine. Both methods advance ALL right-hand sides per iteration so every
-// A·P becomes one SpMM and every M⁻¹·R one block preconditioner application
+// Block flexible PCG: the iteration layer of the batched multi-RHS solve
+// engine. It advances ALL right-hand sides per iteration, so every A·P
+// becomes one SpMM and every M⁻¹·R one block preconditioner application
 // (for DDM-GNN: one disjoint-union DSS inference over all K×s local
 // problems, the paper's Eq. 14 batching). Columns converge at their own
 // rates and are deflated out of the working block as they finish.
 //
-// Two methods, with deliberately different semantics:
+// The columns share one search space. Each iteration A-orthonormalizes the
+// s preconditioned residuals into one direction block and minimizes every
+// column's A-norm error over all of them, so each column benefits from the
+// directions generated for the others and typically converges in
+// substantially fewer iterations than scalar fpcg. Nonlinear
+// preconditioners (the GNN) are handled flexibly: conjugation only against
+// the previous block, stagnation detection, and a per-column true-residual
+// verification with scalar-fpcg fallback as the correctness net.
 //
-//  * block_pcg — LOCKSTEP independent recurrences. Each column runs exactly
-//    the scalar pcg() arithmetic (same kernels, same order, the same
-//    true-residual check at the stop test and restart on a miss), columns
-//    only share the fused SpMM / block-preconditioner calls. Iteration
-//    counts, iterates, converged flags and final residuals are bit-identical
-//    to solving each RHS alone (tested, with and without fp32 applies). Use
-//    with fixed SPD preconditioners; the win is amortized memory traffic,
-//    not fewer iterations.
-//
-//  * block_flexible_pcg — SHARED search space. Each iteration
-//    A-orthonormalizes the s preconditioned residuals into one direction
-//    block and minimizes every column's A-norm error over all of them, so
-//    each column benefits from the directions generated for the others and
-//    typically converges in substantially fewer iterations than scalar
-//    fpcg — this is where the batched DSS inference pays (fewer iterations
-//    × cheaper per-iteration inference). Nonlinear preconditioners (the
-//    GNN) are handled flexibly: conjugation only against the previous
-//    block, stagnation detection, and a per-column true-residual
-//    verification with scalar-fpcg fallback as the correctness net.
+// That pays only when the preconditioner apply is dear next to the window
+// work; batch_width_for is the one rule that decides it. SolverSession::
+// solve_many runs this driver when the width is above 1 and loops scalar
+// solves otherwise.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "la/multivector.hpp"
@@ -66,20 +57,11 @@ inline constexpr double kBatchPaysFlopsPerRow = 2.0 * kFullWindowFlopsPerRow;
 /// How many right-hand sides of an n-row operator are worth one block solve:
 /// std::numeric_limits<int>::max() (no cap of its own) for FPCG when
 /// `apply_flops` (one column's preconditioner apply) is at least
-/// kBatchPaysFlopsPerRow·n, else 1. Lockstep block PCG/CG saves no
-/// iterations and GMRES has no block form, so they always get 1.
+/// kBatchPaysFlopsPerRow·n, else 1. Only flexible PCG has a block form.
 int batch_width_for(KrylovMethod method, double apply_flops, la::Index n);
 
-/// Lockstep block PCG (see file header). `b` is n×s, `x` holds the initial
-/// guesses and the solutions. Returns one SolveResult per column;
-/// result.iterations counts the iterations until THAT column converged.
-std::vector<SolveResult> block_pcg(const CsrMatrix& a,
-                                   const precond::Preconditioner& m,
-                                   const la::MultiVector& b,
-                                   la::MultiVector& x,
-                                   const SolveOptions& opts = {});
-
-/// Shared-subspace flexible block PCG (see file header). result.iterations
+/// Shared-subspace flexible block PCG (see file header). `b` is n×s, `x`
+/// holds the initial guesses and the solutions. result.iterations
 /// counts BLOCK iterations until that column converged; every returned
 /// converged flag is backed by a recomputed true residual.
 std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
@@ -87,14 +69,5 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
                                             const la::MultiVector& b,
                                             la::MultiVector& x,
                                             const SolveOptions& opts = {});
-
-/// Block dispatch mirroring run_krylov: kPcg → block_pcg, kFpcg →
-/// block_flexible_pcg, kCg → block_pcg with the identity preconditioner
-/// (bit-identical to scalar CG per column). GMRES has no block form and
-/// returns nullopt — callers fall back to a sequential loop.
-std::optional<std::vector<SolveResult>> run_block_krylov(
-    KrylovMethod method, const CsrMatrix& a, const precond::Preconditioner& m,
-    const la::MultiVector& b, la::MultiVector& x,
-    const SolveOptions& opts = {});
 
 }  // namespace ddmgnn::solver

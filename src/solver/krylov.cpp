@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -106,90 +109,64 @@ void finalize_solve_telemetry(SolveResult& res, const SolveOptions& opts) {
   }
 }
 
-SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
-                               std::span<double> x, const SolveOptions& opts) {
-  check_dims(a, b, x);
-  Timer timer;
-  SolveResult res;
-  res.method = krylov_method_name(KrylovMethod::kCg);
-  const std::size_t n = b.size();
-  std::vector<double> r(n), p(n), q(n);
-  a.multiply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  std::copy(r.begin(), r.end(), p.begin());
-  const double nb = norm2(b);
-  const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
-  double rho = dot(r, r);
-  double rnorm = std::sqrt(rho);
-  if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-  int it = 0;
-  while (rnorm > stop && it < opts.max_iterations) {
-    obs::Span iter_span("cg.iter");
-    a.multiply(p, q);
-    const double alpha = rho / dot(p, q);
-    axpy(alpha, p, x);
-    axpy(-alpha, q, r);
-    const double rho_next = dot(r, r);
-    const double beta = rho_next / rho;
-    xpay(r, beta, p);
-    rho = rho_next;
-    rnorm = std::sqrt(rho);
-    ++it;
-    if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-    iter_span.arg("iter", it);
-    iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-  }
-  res.iterations = it;
-  res.converged = rnorm <= stop;
-  res.final_relative_residual = rnorm / (nb > 0 ? nb : 1.0);
-  res.total_seconds = timer.seconds();
-  finalize_solve_telemetry(res, opts);
-  return res;
-}
+namespace {
 
-SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
-                std::span<const double> b, std::span<double> x,
-                const SolveOptions& opts) {
+/// Algorithm 1 under `label`. Plain CG is the <false> instantiation (`m`
+/// unused): z is r itself, so <r, z> is the ‖r‖² the residual norm already
+/// computed and every update is the CG one — no copy, dot or timer is
+/// compiled in — and CG gets the same true-residual check.
+template <bool kPreconditioned>
+SolveResult pcg_recurrence(const CsrMatrix& a,
+                           const precond::Preconditioner* m,
+                           std::span<const double> b, std::span<double> x,
+                           const SolveOptions& opts, std::string label) {
   check_dims(a, b, x);
   Timer timer;
   Accumulator precond_time;
   SolveResult res;
-  res.method = method_label(KrylovMethod::kPcg, m);
+  res.method = std::move(label);
   std::vector<double>* series = forensic_series(res);
   const std::size_t n = b.size();
   // One preconditioner workspace per solve: applies stay allocation-free in
   // steady state and concurrent solves on one shared M never share scratch.
-  const auto ws = m.make_workspace();
-  std::vector<double> r(n), z(n), p(n), q(n);
+  std::unique_ptr<precond::ApplyWorkspace> ws;
+  if constexpr (kPreconditioned) ws = m->make_workspace();
+  std::vector<double> r(n), z(kPreconditioned ? n : 0), p(n), q(n);
+  const std::span<const double> zr =
+      kPreconditioned ? std::span<const double>(z) : std::span<const double>(r);
   std::vector<double> r32;  // fp32-rounded residual (opts.precond_fp32)
-  if (opts.precond_fp32) r32.resize(n);
-  auto apply_m = [&](std::span<const double> in, std::span<double> out) {
-    PrecondScope t(precond_time, series);
-    if (opts.precond_fp32) {
-      la::round_to_float(in, r32);
-      m.apply(r32, out, ws.get());
-      la::round_to_float(out, out);
-    } else {
-      m.apply(in, out, ws.get());
+  if (kPreconditioned && opts.precond_fp32) r32.resize(n);
+  // z = M⁻¹ r; nothing to do for plain CG.
+  auto apply_m = [&] {
+    if constexpr (kPreconditioned) {
+      PrecondScope t(precond_time, series);
+      if (opts.precond_fp32) {
+        la::round_to_float(r, r32);
+        m->apply(r32, z, ws.get());
+        la::round_to_float(z, z);
+      } else {
+        m->apply(r, z, ws.get());
+      }
     }
   };
   // r0 = b - A x0, z0 = M⁻¹ r0, p0 = z0   (Algorithm 1)
   double rnorm = true_residual(a, b, x, r);
-  apply_m(r, z);
-  std::copy(z.begin(), z.end(), p.begin());
+  apply_m();
+  std::copy(zr.begin(), zr.end(), p.begin());
   const double nb = norm2(b);
   const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
-  double rho = dot(r, z);
+  double rho = dot(r, zr);
   if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
   bool exact = true;  // r is b − A·x itself, not the recurrence's update
   int it = 0;
   while (rnorm > stop && it < opts.max_iterations) {
-    obs::Span iter_span("pcg.iter");
+    obs::Span iter_span(kPreconditioned ? "pcg.iter" : "cg.iter");
     a.multiply(p, q);
     const double alpha = rho / dot(p, q);
     axpy(alpha, p, x);
     axpy(-alpha, q, r);
-    rnorm = norm2(r);
+    const double rr = dot(r, r);
+    rnorm = std::sqrt(rr);  // norm2(r), bit for bit
     exact = false;
     ++it;
     if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
@@ -200,15 +177,16 @@ SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
       rnorm = true_residual(a, b, x, r);
       exact = true;
       if (rnorm <= stop) break;
-      apply_m(r, z);
-      std::copy(z.begin(), z.end(), p.begin());
-      rho = dot(r, z);
+      apply_m();
+      std::copy(zr.begin(), zr.end(), p.begin());
+      rho = dot(r, zr);
       continue;
     }
-    apply_m(r, z);
-    const double rho_next = dot(r, z);
+    apply_m();
+    double rho_next = rr;
+    if constexpr (kPreconditioned) rho_next = dot(r, z);
     const double beta = rho_next / rho;
-    xpay(z, beta, p);
+    xpay(zr, beta, p);
     rho = rho_next;
   }
   if (!exact) rnorm = true_residual(a, b, x, r);
@@ -219,6 +197,15 @@ SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
   res.precond_seconds = precond_time.total();
   finalize_solve_telemetry(res, opts);
   return res;
+}
+
+}  // namespace
+
+SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
+                std::span<const double> b, std::span<double> x,
+                const SolveOptions& opts) {
+  return pcg_recurrence<true>(a, &m, b, x, opts,
+                        method_label(KrylovMethod::kPcg, m));
 }
 
 SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
@@ -417,7 +404,9 @@ SolveResult run_krylov(KrylovMethod method, const CsrMatrix& a,
     std::copy(opts.x0.begin(), opts.x0.end(), x.begin());
   }
   switch (method) {
-    case KrylovMethod::kCg: return conjugate_gradient(a, b, x, opts);
+    case KrylovMethod::kCg:
+      return pcg_recurrence<false>(a, nullptr, b, x, opts,
+                                   krylov_method_name(KrylovMethod::kCg));
     case KrylovMethod::kPcg: return pcg(a, m, b, x, opts);
     case KrylovMethod::kFpcg: return flexible_pcg(a, m, b, x, opts);
     case KrylovMethod::kGmres: return gmres(a, m, b, x, opts);

@@ -1,9 +1,10 @@
-// Krylov solvers (paper §II): CG, preconditioned CG exactly as Algorithm 1,
-// flexible PCG (Polak–Ribière β — required when the preconditioner is not a
-// fixed SPD operator, which is the case for DDM-GNN) and restarted GMRES for
-// non-symmetric settings. All report per-iteration relative
-// residual histories (Fig. 5b) and the accumulated preconditioner time
-// (Table III's T_lu / T_gnn columns).
+// Krylov solvers (paper §II): preconditioned CG exactly as Algorithm 1
+// (plain CG is it without a preconditioner), flexible PCG
+// (Polak–Ribière β — required when the preconditioner is not a fixed SPD
+// operator, which is the case for DDM-GNN) and restarted GMRES for
+// non-symmetric settings. All report per-iteration relative residual
+// histories (Fig. 5b) and the accumulated preconditioner time (Table III's
+// T_lu / T_gnn columns).
 #pragma once
 
 #include <functional>
@@ -46,10 +47,11 @@ struct SolveOptions {
   int gmres_restart = 50;
   /// Mixed-precision preconditioning: round the residual handed to M⁻¹ and
   /// the correction it returns through fp32 while every outer recurrence
-  /// (x, r, dots, norms) stays fp64. Honored by pcg / flexible_pcg and both
-  /// block drivers. The rounding makes M effectively nonlinear, so pair it
-  /// with kFpcg (SolverSession's default-method selection does this); the
-  /// block path's per-column true-residual verification guards it further.
+  /// (x, r, dots, norms) stays fp64. Honored by pcg / flexible_pcg and
+  /// block_flexible_pcg; plain CG (kCg) ignores it. The rounding makes M
+  /// effectively nonlinear, so pair it with kFpcg (SolverSession's
+  /// default-method selection does this); every driver's true-residual
+  /// check guards it further.
   bool precond_fp32 = false;
   /// Warm-start guess: when non-empty (size n), run_krylov copies it into
   /// `x` before dispatching, so the solve starts from x0 instead of whatever
@@ -99,17 +101,14 @@ obs::FailureReason classify_failure(const SolveResult& res,
 /// solver.failures_total{method=...,reason=...}).
 void finalize_solve_telemetry(SolveResult& res, const SolveOptions& opts);
 
-/// Unpreconditioned conjugate gradient.
-SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
-                               std::span<double> x,
-                               const SolveOptions& opts = {});
-
 /// Preconditioned CG, Algorithm 1 of the paper (Fletcher–Reeves β). When
 /// the recurrence residual meets rel_tol, ‖b − A·x‖ is recomputed once:
 /// converged is reported only if that true residual meets it too, otherwise
 /// the recurrence restarts from the true residual. final_relative_residual
-/// is always the true value. flexible_pcg does the same, and block_pcg does
-/// it per column.
+/// is always the true value. Plain CG (run_krylov with kCg) is this
+/// recurrence without a preconditioner (z is r itself), so it is checked
+/// the same way; flexible_pcg does the same, and block_flexible_pcg does it
+/// per column.
 SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
                 std::span<const double> b, std::span<double> x,
                 const SolveOptions& opts = {});
@@ -126,7 +125,8 @@ SolveResult gmres(const CsrMatrix& a, const precond::Preconditioner& m,
                   std::span<const double> b, std::span<double> x,
                   const SolveOptions& opts = {});
 
-/// Dispatch on `method` (kCg ignores `m`).
+/// Dispatch on `method`. kCg ignores `m` and opts.precond_fp32: it runs the
+/// pcg recurrence without a preconditioner under the bare label "cg".
 /// This is the single entry point SolverSession and the tools route through.
 SolveResult run_krylov(KrylovMethod method, const CsrMatrix& a,
                        const precond::Preconditioner& m,

@@ -67,10 +67,10 @@ inline bool history_enabled(const SolveOptions& opts) {
   return opts.track_history || obs::forensics_enabled();
 }
 
-/// r = b − A·x; returns ‖r‖. PCG, flexible PCG and lockstep block PCG stop
-/// on this TRUE residual, not on their recurrence's r: under fp32 applies or
-/// a nonlinear M⁻¹ the two drift apart, and a converged flag must hold for
-/// the answer.
+/// r = b − A·x; returns ‖r‖. PCG (and so plain CG), flexible PCG and block
+/// flexible PCG stop on this TRUE residual, not on their recurrence's r:
+/// rounding, fp32 applies or a nonlinear M⁻¹ make the two drift apart, and
+/// a converged flag must hold for the answer.
 inline double true_residual(const CsrMatrix& a, std::span<const double> b,
                             std::span<const double> x, std::span<double> r) {
   a.multiply(x, r);

@@ -1,8 +1,9 @@
-// Tests of the batched multi-RHS solve engine: MultiVector kernels and the
+// Tests of the batched multi-RHS solve engine: MultiVector packing and the
 // fused SpMM, Preconditioner::apply_many column-equivalence for every
-// preconditioner table entry, block-PCG lockstep equivalence to per-RHS sequential PCG
-// (including deflation on mixed-difficulty right-hand sides), the
-// shared-subspace block flexible PCG, and the Richardson damping fix.
+// preconditioner table entry, solve_many's path choice (a scalar loop,
+// bitwise equal to looped solve(), wherever batch_width() is 1; block FPCG
+// above 1), scalar PCG's true-residual check, the shared-subspace block
+// flexible PCG, and the Richardson damping fix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "precond/registry.hpp"
 #include "solver/block_krylov.hpp"
 #include "solver/stationary.hpp"
+#include "test_solvers.hpp"
 
 namespace {
 
@@ -75,7 +77,9 @@ solve_each(const core::SolverSession& session,
   return {std::move(results), std::move(xs)};
 }
 
-TEST(MultiVector, FusedKernelsMatchScalarOps) {
+using test_util::block_fpcg;
+
+TEST(MultiVector, FromColumnsPacksAndKeepColumnsCompacts) {
   const Index n = 100, s = 3;
   std::vector<std::vector<double>> cols(s);
   for (Index j = 0; j < s; ++j) cols[j] = random_vector(n, 10 + j);
@@ -84,27 +88,6 @@ TEST(MultiVector, FusedKernelsMatchScalarOps) {
   ASSERT_EQ(x.cols(), s);
   for (Index j = 0; j < s; ++j) {
     for (Index i = 0; i < n; ++i) EXPECT_EQ(x.at(i, j), cols[j][i]);
-  }
-
-  MultiVector y = MultiVector::from_columns(cols);
-  std::vector<double> a{0.5, -2.0, 3.0};
-  axpy_columns(a, x, y);
-  std::vector<double> dots(s), norms(s);
-  dot_columns(x, y, dots);
-  norm2_columns(y, norms);
-  for (Index j = 0; j < s; ++j) {
-    std::vector<double> ref = cols[j];
-    la::axpy(a[j], cols[j], ref);
-    EXPECT_EQ(dots[j], la::dot(cols[j], ref)) << j;
-    EXPECT_EQ(norms[j], la::norm2(ref)) << j;
-  }
-
-  xpay_columns(a, x, y);  // y = x + a.*y
-  for (Index j = 0; j < s; ++j) {
-    std::vector<double> ref = cols[j];
-    la::axpy(a[j], cols[j], ref);   // the earlier axpy
-    la::xpay(cols[j], a[j], ref);   // this xpay
-    for (Index i = 0; i < n; ++i) EXPECT_EQ(y.at(i, j), ref[i]);
   }
 
   // Deflation compaction: keep columns 0 and 2.
@@ -176,67 +159,97 @@ TEST(ApplyMany, EqualsLoopedApplyForEveryRegistryEntry) {
   }
 }
 
-TEST(BlockPcg, MatchesSequentialPcgPerColumnWithDeflation) {
+TEST(SolveMany, FollowsBatchWidth) {
+  // Width 1 (ddm-lu PCG, the served fp32 FPCG config): solve_many is the
+  // loop of solve() calls, bitwise, with mixed seeded and unseeded columns
+  // (an already-converged seed, a rough one, two zero starts including a
+  // zero right-hand side). Width > 1 (raw ddm-gnn at the paper shape):
+  // the columns run block FPCG.
   auto [m, prob] = small_problem(13, 1400);
-  core::HybridConfig cfg;
-  cfg.preconditioner = "ddm-lu";
-  cfg.subdomain_target_nodes = 300;
-  cfg.rel_tol = 1e-8;
-  cfg.track_history = true;
-
-  // Mixed difficulty: the assembled b, an immediately-converged zero column,
-  // a scaled copy, and an unrelated random field — columns converge at
-  // different iterations, exercising deflation mid-solve.
+  const std::size_t n = prob.b.size();
   std::vector<std::vector<double>> rhs(4, prob.b);
   std::fill(rhs[1].begin(), rhs[1].end(), 0.0);
-  for (double& v : rhs[2]) v *= -3.0;
-  rhs[3] = random_vector(prob.b.size(), 99);
+  rhs[2] = random_vector(n, 99);
+  for (double& v : rhs[3]) v *= -3.0;
 
-  core::SolverSession block_session;
-  block_session.setup(m, prob, cfg);
-  std::vector<std::vector<double>> xs_block;
-  const auto block_results = block_session.solve_many(rhs, xs_block);
+  gnn::DssConfig mc;  // the pinned benchmark shape: k̄=10, d=10, hidden=10
+  mc.iterations = 10;
+  mc.latent = 10;
+  mc.hidden = 10;
+  const gnn::DssModel paper_shape(mc, /*seed=*/3);
 
-  core::SolverSession seq_session;
-  seq_session.setup(m, prob, cfg);
-  const auto [seq_results, xs_seq] = solve_each(seq_session, rhs);
+  core::HybridConfig lu;
+  lu.preconditioner = "ddm-lu";
+  lu.subdomain_target_nodes = 300;
+  lu.rel_tol = 1e-8;
+  lu.track_history = true;
+  core::HybridConfig served = lu;
+  served.preconditioner = "ddm-gnn";
+  served.model = &paper_shape;
+  served.gnn_adaptive_refinement = true;
+  served.gnn_cost_aware_fallback = true;
+  served.precond_fp32 = true;
+  for (const core::HybridConfig& cfg : {lu, served}) {
+    SCOPED_TRACE(cfg.preconditioner);
+    core::SolverSession session;
+    session.setup(m, prob, cfg);
+    ASSERT_EQ(session.batch_width(), 1);
+    // Seeds: a solution from a first solve, and a rough random guess.
+    std::vector<double> converged(n, 0.0);
+    ASSERT_TRUE(session.solve(rhs[0], converged).converged);
+    const std::vector<std::vector<double>> x0s{
+        converged, {}, random_vector(n, 7), {}};
 
-  ASSERT_EQ(block_results.size(), 4u);
-  for (std::size_t j = 0; j < 4; ++j) {
-    EXPECT_TRUE(block_results[j].converged) << j;
-    EXPECT_EQ(block_results[j].method, "block-pcg+ddm-lu");
-    // Lockstep recurrences: iteration counts within 1 of the scalar solver
-    // (they match exactly — the recurrences share every kernel).
-    EXPECT_NEAR(block_results[j].iterations, seq_results[j].iterations, 1)
-        << j;
-    // Residuals meet the requested tolerance for every column.
-    EXPECT_LT(fem::relative_residual(prob.A, rhs[j], xs_block[j]),
-              10 * cfg.rel_tol)
-        << j;
-    // Identical trajectories ⇒ identical solutions (tight tolerance).
-    ASSERT_EQ(xs_block[j].size(), xs_seq[j].size());
-    for (std::size_t i = 0; i < xs_block[j].size(); i += 13) {
-      EXPECT_NEAR(xs_block[j][i], xs_seq[j][i],
-                  1e-12 * (1.0 + std::abs(xs_seq[j][i])))
-          << j;
+    std::vector<std::vector<double>> xs;
+    const auto many = session.solve_many(rhs, xs, x0s);
+    std::vector<solver::SolveResult> loop;
+    std::vector<std::vector<double>> xs_loop;
+    for (std::size_t j = 0; j < rhs.size(); ++j) {
+      xs_loop.emplace_back(n, 0.0);
+      loop.push_back(x0s[j].empty()
+                         ? session.solve(rhs[j], xs_loop.back())
+                         : session.solve(rhs[j], xs_loop.back(), x0s[j]));
+      EXPECT_TRUE(loop.back().converged) << j;
     }
+    ASSERT_EQ(many.size(), loop.size());
+    for (std::size_t j = 0; j < loop.size(); ++j) {
+      SCOPED_TRACE("col=" + std::to_string(j));
+      EXPECT_EQ(many[j].method, loop[j].method);
+      EXPECT_EQ(many[j].iterations, loop[j].iterations);
+      EXPECT_EQ(many[j].converged, loop[j].converged);
+      EXPECT_EQ(many[j].final_relative_residual,
+                loop[j].final_relative_residual);
+      EXPECT_EQ(many[j].history, loop[j].history);
+      EXPECT_EQ(xs[j], xs_loop[j]);
+    }
+    EXPECT_EQ(many[1].iterations, 0);  // zero right-hand side
   }
-  // The zero column deflates instantly.
-  EXPECT_EQ(block_results[1].iterations, 0);
-  EXPECT_TRUE(block_results[1].converged);
-  // Histories are tracked per column up to each column's own convergence.
-  EXPECT_EQ(static_cast<int>(block_results[3].history.size()),
-            block_results[3].iterations + 1);
+
+  core::HybridConfig raw = lu;
+  raw.preconditioner = "ddm-gnn";
+  raw.model = &paper_shape;
+  raw.rel_tol = 1e-6;
+  raw.max_iterations = 40;  // untrained weights: the label is under test
+  raw.track_history = false;
+  core::SolverSession session;
+  session.setup(m, prob, raw);
+  ASSERT_GT(session.batch_width(), 1);
+  std::vector<std::vector<double>> xs;
+  const std::vector<std::vector<double>> two{rhs[2], rhs[3]};
+  for (const auto& res : session.solve_many(two, xs)) {
+    EXPECT_EQ(res.method.rfind("block-fpcg+ddm-gnn", 0), 0u) << res.method;
+  }
+  // One right-hand side has nothing to batch.
+  const auto one = session.solve_many(std::span(two).first(1), xs);
+  EXPECT_EQ(one[0].method, "fpcg+ddm-gnn");
 }
 
-TEST(BlockPcg, LockstepBatchBitwiseEqualsScalarSolves) {
-  // One session's solve_many (block PCG) and looped solve() (scalar PCG) run
-  // the same per-column arithmetic, including the true-residual check at the
-  // stop test and the restart on a miss, so they agree bit for bit: x,
-  // iterations, converged and the (true) final residual. At 1e-8 no check
-  // misses; at 1e-15 the recurrence meets the tolerance before b − A·x does
-  // and a restart converges; 1e-16 sits below the attainable accuracy, so
-  // the columns restart until max_iterations and report not converged.
+TEST(ScalarPcg, TrueResidualCheckRestartsOnAMissAndCapsIterations) {
+  // Scalar PCG stops on the recurrence residual only after ‖b − A·x‖ meets
+  // the tolerance too. At 1e-8 no check misses; at 1e-15 the recurrence
+  // meets the tolerance before b − A·x does and a restart converges; 1e-16
+  // sits below the attainable accuracy, so the solve restarts until
+  // max_iterations and reports not converged. Same with fp32 applies.
   auto [m, prob] = small_problem(21, 1400);
   std::vector<std::vector<double>> rhs(4, prob.b);
   for (double& v : rhs[1]) v *= -3.0;
@@ -255,31 +268,25 @@ TEST(BlockPcg, LockstepBatchBitwiseEqualsScalarSolves) {
       cfg.track_history = true;
       core::SolverSession session;
       session.setup(m, prob, cfg);
-      std::vector<std::vector<double>> xs_block;
-      const auto block = session.solve_many(rhs, xs_block);
       const auto [seq, xs_seq] = solve_each(session, rhs);
       for (std::size_t j = 0; j < rhs.size(); ++j) {
         SCOPED_TRACE("fp32=" + std::to_string(fp32) +
                      " rel_tol=" + std::to_string(rel_tol) +
                      " col=" + std::to_string(j));
-        EXPECT_EQ(block[j].method, "block-pcg+ddm-lu");
-        EXPECT_EQ(block[j].iterations, seq[j].iterations);
-        EXPECT_EQ(block[j].converged, seq[j].converged);
-        EXPECT_EQ(block[j].final_relative_residual,
-                  seq[j].final_relative_residual);
-        EXPECT_EQ(block[j].history, seq[j].history);
-        ASSERT_EQ(xs_block[j].size(), xs_seq[j].size());
-        for (std::size_t i = 0; i < xs_seq[j].size(); ++i) {
-          ASSERT_EQ(xs_block[j][i], xs_seq[j][i]) << "row " << i;
-        }
+        EXPECT_EQ(seq[j].method, "pcg+ddm-lu");
+        // The reported residual is the true one.
+        EXPECT_EQ(seq[j].final_relative_residual,
+                  fem::relative_residual(prob.A, rhs[j], xs_seq[j]));
         // A recurrence residual at or below rel_tol before the last
-        // iteration means a check missed and the column restarted.
+        // iteration means a check missed and the solve restarted.
         const auto& h = seq[j].history;
         const bool restarted =
             *std::min_element(h.begin(), h.end() - 1) <= rel_tol;
         EXPECT_EQ(restarted, rel_tol < 1e-8);
         EXPECT_EQ(seq[j].converged, rel_tol > 1e-16);
-        if (!seq[j].converged) EXPECT_EQ(seq[j].iterations, kMaxIterations);
+        if (!seq[j].converged) {
+          EXPECT_EQ(seq[j].iterations, kMaxIterations);
+        }
       }
     }
   }
@@ -289,7 +296,7 @@ TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {
   auto [m, prob] = small_problem(17, 1400);
   core::HybridConfig cfg;
   cfg.preconditioner = "ddm-lu";
-  cfg.method = solver::KrylovMethod::kFpcg;  // force the flexible block path
+  cfg.method = solver::KrylovMethod::kFpcg;
   cfg.subdomain_target_nodes = 300;
   cfg.rel_tol = 1e-8;
   cfg.track_history = false;
@@ -306,11 +313,8 @@ TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {
   core::SolverSession session;
   session.setup(m, prob, cfg);
   std::vector<std::vector<double>> xs;
-  const auto results = session.solve_many(rhs, xs);
-
-  core::SolverSession seq_session;
-  seq_session.setup(m, prob, cfg);
-  const auto seq_results = solve_each(seq_session, rhs).first;
+  const auto results = block_fpcg(session, prob.A, rhs, xs);
+  const auto seq_results = solve_each(session, rhs).first;
 
   int max_block = 0, max_seq = 0;
   for (std::size_t j = 0; j < rhs.size(); ++j) {
@@ -347,7 +351,7 @@ TEST(BlockFpcg, WindowEvictionKeepsEveryColumnConverged) {
   core::SolverSession session;
   session.setup(m, prob, cfg);
   std::vector<std::vector<double>> xs;
-  const auto results = session.solve_many(rhs, xs);
+  const auto results = block_fpcg(session, prob.A, rhs, xs);
   ASSERT_EQ(results.size(), rhs.size());
 
   int max_iterations = 0;

@@ -33,6 +33,7 @@
 #include "mesh/generator.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/registry.hpp"
+#include "test_solvers.hpp"
 
 namespace {
 
@@ -168,26 +169,30 @@ TEST(ConcurrentSolve, MixedSingleAndBlockTrafficOnSharedGnnSession) {
   const std::size_t n = prob.b.size();
 
   const int kThreads = 4;
-  // Thread t solves a block of t+1 right-hand sides (thread 0 goes through
-  // the scalar path, the rest through block FPCG at distinct column counts).
+  // Thread t solves a block of t+1 right-hand sides: thread 0 through
+  // solve_many's scalar path, the rest through block FPCG at distinct column
+  // counts. This small model's batch width is 1, so the block driver is
+  // called directly on the session's preconditioner.
   std::vector<std::vector<std::vector<double>>> rhs(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     rhs[t].resize(t + 1);
     for (int j = 0; j <= t; ++j) rhs[t][j] = random_vector(n, 500 + 13 * t + j);
   }
+  auto solve = [&](int t, std::vector<std::vector<double>>& xs) {
+    if (t == 0) return session.solve_many(rhs[t], xs);
+    return test_util::block_fpcg(session, prob.A, rhs[t], xs);
+  };
 
   std::vector<std::vector<std::vector<double>>> xs_serial(kThreads);
   std::vector<std::vector<solver::SolveResult>> r_serial(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    r_serial[t] = session.solve_many(rhs[t], xs_serial[t]);
-  }
+  for (int t = 0; t < kThreads; ++t) r_serial[t] = solve(t, xs_serial[t]);
 
   std::vector<std::vector<std::vector<double>>> xs_conc(kThreads);
   std::vector<std::vector<solver::SolveResult>> r_conc(kThreads);
   SpinBarrier barrier(kThreads);
   run_threads(kThreads, [&](int t) {
     barrier.arrive_and_wait();
-    r_conc[t] = session.solve_many(rhs[t], xs_conc[t]);
+    r_conc[t] = solve(t, xs_conc[t]);
   });
 
   for (int t = 0; t < kThreads; ++t) {

@@ -8,6 +8,7 @@
 #include "mesh/generator.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
+#include "precond/preconditioner.hpp"
 #include "solver/krylov.hpp"
 
 namespace {
@@ -72,8 +73,10 @@ TEST_P(CgGrowth, CgIterationsScaleLikeSqrtN) {
         m, [&](const Point2& p) { return q.f(p); },
         [&](const Point2& p) { return q.g(p); });
     std::vector<double> x(prob.b.size(), 0.0);
-    const auto res = solver::conjugate_gradient(prob.A, prob.b, x,
-                                                {.max_iterations = 5000});
+    const precond::IdentityPreconditioner identity;
+    const auto res = solver::run_krylov(solver::KrylovMethod::kCg, prob.A,
+                                        identity, prob.b, x,
+                                        {.max_iterations = 5000});
     ASSERT_TRUE(res.converged);
     iters[i] = res.iterations;
   }

@@ -181,8 +181,8 @@ TEST(VCycle, ApplyAddManyMatchesColumnwiseApplyAddBitwise) {
 }
 
 TEST(VCycle, AdditiveSchwarzBlockApplyMatchesScalarBitwise) {
-  // Block Krylov lockstep relies on column-exactness through the whole ASM
-  // (local solves + coarse cycle) chain.
+  // A block apply gives every column the bits of its scalar apply through
+  // the whole ASM (local solves + coarse cycle) chain.
   const Fixture f = deep_fixture(96);
   const precond::AdditiveSchwarz ddm(
       f.prob.A, f.dec, std::make_unique<precond::CholeskySubdomainSolver>());

@@ -31,6 +31,7 @@
 #include "obs/trace.hpp"
 #include "solver/krylov.hpp"
 #include "solver/stationary.hpp"
+#include "test_solvers.hpp"
 
 namespace {
 
@@ -67,6 +68,15 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   std::vector<double> v(n);
   for (double& x : v) x = rng.uniform(-1.0, 1.0);
   return v;
+}
+
+/// Block FPCG on a session's operator and preconditioner, whatever the
+/// session's batch width: the block driver's spans are under test.
+std::vector<solver::SolveResult> block_fpcg(
+    const core::SolverSession& session, const la::CsrMatrix& a,
+    const std::vector<std::vector<double>>& rhs) {
+  std::vector<std::vector<double>> xs;
+  return test_util::block_fpcg(session, a, rhs, xs);
 }
 
 /// Sum of the durations of all precond.apply / precond.apply_many spans in
@@ -258,7 +268,7 @@ TEST(ObsTrace, BlockFpcgWindowSpansNestUnderEveryIteration) {
   auto [m, prob] = small_problem(24);
   core::HybridConfig cfg;
   cfg.preconditioner = "ddm-lu";
-  cfg.method = solver::KrylovMethod::kFpcg;  // the block flexible path
+  cfg.method = solver::KrylovMethod::kFpcg;
   cfg.rel_tol = 1e-8;
   core::SolverSession session;
   session.setup(m, prob, cfg);
@@ -269,8 +279,7 @@ TEST(ObsTrace, BlockFpcgWindowSpansNestUnderEveryIteration) {
 
   obs::TraceRecorder::instance().clear();
   obs::set_trace_enabled(true);
-  std::vector<std::vector<double>> xs;
-  const auto results = session.solve_many(rhs, xs);
+  const auto results = block_fpcg(session, prob.A, rhs);
   obs::set_trace_enabled(false);
   for (const auto& res : results) EXPECT_TRUE(res.converged);
 
@@ -427,6 +436,7 @@ TEST(ObsReconcile, BlockSolvePrecondSecondsMatchSpans) {
   auto [m, prob] = small_problem(22);
   core::HybridConfig cfg;
   cfg.preconditioner = "ddm-lu";
+  cfg.method = solver::KrylovMethod::kFpcg;
   cfg.rel_tol = 1e-8;
   core::SolverSession session;
   session.setup(m, prob, cfg);
@@ -437,8 +447,7 @@ TEST(ObsReconcile, BlockSolvePrecondSecondsMatchSpans) {
 
   obs::TraceRecorder::instance().clear();
   obs::set_trace_enabled(true);
-  std::vector<std::vector<double>> xs;
-  const auto results = session.solve_many(rhs, xs);
+  const auto results = block_fpcg(session, prob.A, rhs);
   obs::set_trace_enabled(false);
   ASSERT_EQ(results.size(), rhs.size());
   double precond_total = 0.0;

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/rng.hpp"
+#include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
 #include "gnn/graph.hpp"
 #include "la/csr.hpp"
@@ -20,6 +23,7 @@
 #include "precond/asm_precond.hpp"
 #include "precond/preconditioner.hpp"
 #include "solver/krylov.hpp"
+#include "test_solvers.hpp"
 
 namespace {
 
@@ -28,6 +32,8 @@ using la::CooBuilder;
 using la::CsrMatrix;
 using la::Index;
 using mesh::Point2;
+
+using test_util::plain_cg;
 
 CsrMatrix small_spd() {
   CooBuilder coo(3, 3);
@@ -79,6 +85,99 @@ TEST(Contracts, JacobiRejectsZeroDiagonal) {
   EXPECT_THROW(precond::JacobiPreconditioner({1.0, 0.0}), ContractError);
 }
 
+/// 5-point Laplacian on a side×side grid, shifted to be safely SPD.
+CsrMatrix grid_laplacian(Index side) {
+  CooBuilder coo(side * side, side * side);
+  for (Index r = 0; r < side; ++r) {
+    for (Index c = 0; c < side; ++c) {
+      const Index i = r * side + c;
+      coo.add(i, i, 4.5);
+      if (r > 0) coo.add(i, i - side, -1.0);
+      if (r + 1 < side) coo.add(i, i + side, -1.0);
+      if (c > 0) coo.add(i, i - 1, -1.0);
+      if (c + 1 < side) coo.add(i, i + 1, -1.0);
+    }
+  }
+  return std::move(coo).build();
+}
+
+/// Runs `f`, expecting a ContractError whose message contains `needle`.
+template <typename F>
+void expect_contract_error(F&& f, const std::string& needle) {
+  try {
+    f();
+    ADD_FAILURE() << "no ContractError; expected one naming " << needle;
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Contracts, SessionRejectsNanInTheOperatorAtSetup) {
+  const CsrMatrix good = grid_laplacian(6);
+  std::vector<double> vals(good.values().begin(), good.values().end());
+  const auto row_ptr = good.row_ptr();
+  vals[row_ptr[7] + 1] = std::nan("");  // second stored entry of row 7
+  const CsrMatrix bad(good.rows(), good.cols(),
+                      {row_ptr.begin(), row_ptr.end()},
+                      {good.col_idx().begin(), good.col_idx().end()},
+                      std::move(vals));
+  const std::string entry =
+      "A(7, " + std::to_string(bad.col_idx()[row_ptr[7] + 1]) + ") = nan";
+  core::HybridConfig cfg;
+  cfg.preconditioner = "ddm-lu";
+  cfg.subdomain_target_nodes = 12;
+  core::SolverSession session;
+  // Matrix-first path.
+  expect_contract_error([&] { session.setup(bad, cfg); }, entry);
+  EXPECT_FALSE(session.ready());
+  // Mesh path: the operator of an assembled problem.
+  mesh::Mesh m = mesh::generate_mesh(mesh::random_domain(4), 0.2, 4);
+  auto prob = fem::assemble_poisson(
+      m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
+  std::vector<double> pvals(prob.A.values().begin(), prob.A.values().end());
+  pvals.back() = -std::numeric_limits<double>::infinity();
+  prob.A = CsrMatrix(prob.A.rows(), prob.A.cols(),
+                     {prob.A.row_ptr().begin(), prob.A.row_ptr().end()},
+                     {prob.A.col_idx().begin(), prob.A.col_idx().end()},
+                     std::move(pvals));
+  expect_contract_error([&] { session.setup(m, prob, cfg); }, "= -inf");
+  EXPECT_FALSE(session.ready());
+}
+
+TEST(Contracts, SessionRejectsNonFiniteRhsAndGuesses) {
+  const CsrMatrix a = grid_laplacian(6);
+  const auto n = static_cast<std::size_t>(a.rows());
+  core::HybridConfig cfg;
+  cfg.preconditioner = "ddm-lu";
+  cfg.subdomain_target_nodes = 12;
+  core::SolverSession session;
+  session.setup(a, cfg);
+
+  std::vector<double> b(n, 1.0), x(n, 0.0);
+  b[5] = std::numeric_limits<double>::infinity();
+  expect_contract_error([&] { session.solve(b, x); }, "b[5] = inf");
+  b[5] = 1.0;
+  std::vector<double> x0(n, 0.0);
+  x0[2] = std::nan("");
+  expect_contract_error([&] { session.solve(b, x, x0); }, "x0[2] = nan");
+
+  // solve_many validates every column before it solves any of them.
+  const std::vector<std::vector<double>> rhs(3, b);
+  const std::vector<std::vector<double>> x0s{{}, std::vector<double>(n, 0.0),
+                                             x0};
+  std::vector<std::vector<double>> xs;
+  expect_contract_error([&] { session.solve_many(rhs, xs, x0s); },
+                        "x0s[2][2] = nan");
+  EXPECT_TRUE(xs.empty());
+  std::vector<std::vector<double>> bad_rhs = rhs;
+  bad_rhs[1][0] = -std::numeric_limits<double>::infinity();
+  expect_contract_error([&] { session.solve_many(bad_rhs, xs); },
+                        "rhs[1][0] = -inf");
+  // The same inputs, finite, solve.
+  EXPECT_TRUE(session.solve(b, x).converged);
+}
+
 TEST(EdgeCases, OneByOneSystemsEverywhere) {
   CooBuilder coo(1, 1);
   coo.add(0, 0, 4.0);
@@ -89,7 +188,7 @@ TEST(EdgeCases, OneByOneSystemsEverywhere) {
   EXPECT_NEAR(f.solve(b)[0], 2.0, 1e-14);
   // Iterative.
   std::vector<double> x{0.0};
-  const auto res = solver::conjugate_gradient(a, b, x);
+  const auto res = plain_cg(a, b, x);
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(x[0], 2.0, 1e-9);
   // IC(0) is exact here.
@@ -101,7 +200,7 @@ TEST(EdgeCases, ZeroRhsConvergesInstantly) {
   const CsrMatrix a = small_spd();
   const std::vector<double> b{0.0, 0.0, 0.0};
   std::vector<double> x{0.0, 0.0, 0.0};
-  const auto res = solver::conjugate_gradient(a, b, x);
+  const auto res = plain_cg(a, b, x);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0);
   for (const double v : x) EXPECT_EQ(v, 0.0);
@@ -111,7 +210,7 @@ TEST(EdgeCases, WarmStartFromExactSolutionTakesZeroIterations) {
   const CsrMatrix a = small_spd();
   std::vector<double> x_ref{1.0, -2.0, 0.5};
   const auto b = a.apply(x_ref);
-  const auto res = solver::conjugate_gradient(a, b, x_ref);
+  const auto res = plain_cg(a, b, x_ref);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0);
 }
@@ -128,7 +227,7 @@ TEST(EdgeCases, MaxIterationCapIsRespected) {
   solver::SolveOptions opts;
   opts.max_iterations = 3;
   opts.rel_tol = 1e-14;
-  const auto res = solver::conjugate_gradient(prob.A, prob.b, x, opts);
+  const auto res = plain_cg(prob.A, prob.b, x, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 3);
 }

@@ -8,6 +8,7 @@
 // request exactly once.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -115,7 +116,7 @@ TEST(SolveServiceWidth, RuleBatchesOnlyFpcgWithADearApply) {
   EXPECT_EQ(solver::batch_width_for(KrylovMethod::kFpcg, 0.99 * threshold, n),
             1);
   EXPECT_EQ(solver::batch_width_for(KrylovMethod::kFpcg, 0.0, n), 1);
-  // Lockstep block PCG/CG saves no iterations; GMRES has no block form.
+  // Only flexible PCG has a block form.
   for (const KrylovMethod m :
        {KrylovMethod::kPcg, KrylovMethod::kCg, KrylovMethod::kGmres}) {
     EXPECT_EQ(solver::batch_width_for(m, 40 * threshold, n), 1);
@@ -468,6 +469,48 @@ TEST(SolveServiceContract, BadSubmitsThrowAndShutdownRefuses) {
   EXPECT_THROW(svc->submit(op, std::vector<double>(
                                    static_cast<std::size_t>(A.rows()), 1.0)),
                ContractError);
+}
+
+TEST(SolveServiceContract, NonFiniteRequestFailsAloneInABatchedWindow) {
+  // A NaN/Inf request is refused at submit, so the requests it would have
+  // shared a width-8 window with solve as if it had never been sent.
+  const la::CsrMatrix A = grid_laplacian(8, 0.0);
+  const gnn::DssModel model = paper_shape_model();
+  const core::HybridConfig cfg = raw_gnn_config(model);
+  core::SessionCache cache(1u << 30);
+  auto direct = cache.get_or_setup(A, cfg);
+  core::SolveService svc(cache, paused_friendly(/*max_batch=*/8, 50ms));
+  const auto op = svc.register_operator(A, cfg);
+  ASSERT_EQ(svc.batch_width(op), 8u);
+  const auto n = static_cast<std::size_t>(A.rows());
+  const std::vector<std::vector<double>> bs{random_rhs(n, 11),
+                                            random_rhs(n, 12)};
+
+  svc.pause();
+  auto first = svc.submit(op, bs[0]);
+  std::vector<double> nan_rhs = random_rhs(n, 13);
+  nan_rhs[5] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(svc.submit(op, nan_rhs), ContractError);
+  core::SubmitOptions inf_seed;
+  std::vector<double> x0(n, 0.0);
+  x0[2] = std::numeric_limits<double>::infinity();
+  inf_seed.x0 = x0;
+  EXPECT_THROW(svc.submit(op, random_rhs(n, 14), inf_seed), ContractError);
+  auto second = svc.submit(op, bs[1]);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  svc.resume();
+
+  std::vector<std::vector<double>> xs_direct;
+  const auto res_direct = direct->solve_many(bs, xs_direct);
+  const std::array<core::SolveService::Reply, 2> replies{first->get(),
+                                                         second->get()};
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_TRUE(replies[i].result.converged);
+    EXPECT_EQ(replies[i].batch_columns, 2);
+    EXPECT_EQ(replies[i].result.iterations, res_direct[i].iterations);
+    EXPECT_EQ(replies[i].x, xs_direct[i]) << "column " << i;
+  }
 }
 
 // The CI TSan target: multi-producer, two operators, mixed QoS and warm

@@ -16,12 +16,15 @@
 #include "precond/ic0_precond.hpp"
 #include "precond/preconditioner.hpp"
 #include "solver/krylov.hpp"
+#include "test_solvers.hpp"
 
 namespace {
 
 using namespace ddmgnn;
 using la::Index;
 using mesh::Point2;
+
+using test_util::plain_cg;
 
 fem::PoissonProblem make_problem(std::uint64_t seed, double h = 0.06) {
   const mesh::Mesh m = mesh::generate_mesh(mesh::random_domain(seed), h, seed);
@@ -48,9 +51,8 @@ MeshAndProblem make_mesh_problem(std::uint64_t seed, double h = 0.06) {
 TEST(Cg, ConvergesAndMatchesDirectSolve) {
   const auto prob = make_problem(1);
   std::vector<double> x(prob.b.size(), 0.0);
-  const auto res = solver::conjugate_gradient(prob.A, prob.b, x,
-                                              {.max_iterations = 5000,
-                                               .rel_tol = 1e-10});
+  const auto res =
+      plain_cg(prob.A, prob.b, x, {.max_iterations = 5000, .rel_tol = 1e-10});
   EXPECT_TRUE(res.converged);
   const la::SkylineCholesky chol(prob.A);
   const auto x_ref = chol.solve(prob.b);
@@ -60,8 +62,7 @@ TEST(Cg, ConvergesAndMatchesDirectSolve) {
 TEST(Cg, HistoryStartsAtOneAndEndsBelowTol) {
   const auto prob = make_problem(2);
   std::vector<double> x(prob.b.size(), 0.0);
-  const auto res = solver::conjugate_gradient(prob.A, prob.b, x,
-                                              {.rel_tol = 1e-6});
+  const auto res = plain_cg(prob.A, prob.b, x, {.rel_tol = 1e-6});
   ASSERT_TRUE(res.converged);
   ASSERT_FALSE(res.history.empty());
   EXPECT_NEAR(res.history.front(), 1.0, 1e-12);  // x0 = 0
@@ -72,7 +73,7 @@ TEST(Cg, HistoryStartsAtOneAndEndsBelowTol) {
 TEST(Pcg, JacobiReducesIterationsVsCg) {
   const auto prob = make_problem(3);
   std::vector<double> x1(prob.b.size(), 0.0), x2(prob.b.size(), 0.0);
-  const auto plain = solver::conjugate_gradient(prob.A, prob.b, x1);
+  const auto plain = plain_cg(prob.A, prob.b, x1);
   const precond::JacobiPreconditioner jac(prob.A.diagonal());
   const auto pre = solver::pcg(prob.A, jac, prob.b, x2);
   EXPECT_TRUE(plain.converged);
@@ -92,13 +93,38 @@ TEST(Pcg, Ic0BeatsJacobi) {
 }
 
 TEST(Pcg, IdentityPreconditionerEqualsCg) {
+  // Plain CG runs the PCG recurrence without a preconditioner (z is r
+  // itself, <r, z> reuses ‖r‖²); PCG with the identity copies z = r and
+  // takes the dot. The two branches must agree bit for bit; only the method
+  // label differs.
   const auto prob = make_problem(5, 0.09);
   std::vector<double> x1(prob.b.size(), 0.0), x2(prob.b.size(), 0.0);
-  const auto cg = solver::conjugate_gradient(prob.A, prob.b, x1);
+  const auto cg = plain_cg(prob.A, prob.b, x1);
   const precond::IdentityPreconditioner id;
   const auto pcg_id = solver::pcg(prob.A, id, prob.b, x2);
+  EXPECT_EQ(cg.method, "cg");
+  EXPECT_EQ(pcg_id.method, "pcg+none");
+  EXPECT_TRUE(cg.converged);
   EXPECT_EQ(cg.iterations, pcg_id.iterations);
-  EXPECT_LT(la::dist2(x1, x2), 1e-10);
+  EXPECT_EQ(cg.final_relative_residual, pcg_id.final_relative_residual);
+  EXPECT_EQ(cg.history, pcg_id.history);
+  EXPECT_EQ(x1, x2);
+}
+
+TEST(Cg, ConvergedIsCheckedAgainstTheTrueResidual) {
+  // 1e-16 lies below the attainable accuracy: the CG recurrence residual
+  // still drops past it, but b − A·x never does. CG must report the true
+  // residual and not converged.
+  const auto prob = make_problem(7, 0.09);
+  std::vector<double> x(prob.b.size(), 0.0);
+  const auto res =
+      plain_cg(prob.A, prob.b, x, {.max_iterations = 400, .rel_tol = 1e-16});
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 400);
+  std::vector<double> r(prob.b.size());
+  prob.A.multiply(x, r);
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = prob.b[i] - r[i];
+  EXPECT_EQ(res.final_relative_residual, la::norm2(r) / la::norm2(prob.b));
 }
 
 TEST(AsmPrecond, TwoLevelLuConvergesFast) {
@@ -268,8 +294,8 @@ TEST(Solvers, IterationCountGrowsWithProblemSizeForPlainCg) {
   const auto small = make_problem(18, 0.09);
   const auto large = make_problem(18, 0.04);
   std::vector<double> x1(small.b.size(), 0.0), x2(large.b.size(), 0.0);
-  const auto r_small = solver::conjugate_gradient(small.A, small.b, x1);
-  const auto r_large = solver::conjugate_gradient(large.A, large.b, x2);
+  const auto r_small = plain_cg(small.A, small.b, x1);
+  const auto r_large = plain_cg(large.A, large.b, x2);
   EXPECT_GT(r_large.iterations, r_small.iterations);
 }
 
